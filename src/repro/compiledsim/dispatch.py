@@ -12,8 +12,12 @@ Activation follows the ``_MEX_STRATEGY`` idiom from
 :mod:`repro.coloring.kernels`: a process-global flag flipped by the
 :func:`scope` context manager, which
 :class:`~repro.engine.backend.CompiledSimBackend` wraps around each
-round loop.  The engine is single-threaded per process, so a module
-global (not TLS) is the correct scope.
+round loop.  The kernel table is a module global, so every thread of
+the run reads it — including the second pricing thread of
+:meth:`~repro.gpusim.device.Device.commit_pair`.  The scratch buffers
+and hash-table epochs, by contrast, are per thread: the C tier drops
+the GIL, so two pricing threads sharing one grow-only buffer would
+write through each other's pointers.
 
 Only the *functional* halves are replaced.  Pricing — the trace
 descriptors charged per access — is emitted by the same unchanged code
@@ -22,6 +26,7 @@ either way, so simulated timings stay byte-identical.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,21 +40,28 @@ _K: dict | None = None
 #: Resolved tier name of the active scope (for result metadata).
 _TIER: str | None = None
 
-#: Persistent mex generation counter (shared stamp arrays never need
-#: clearing; uint64 generations cannot realistically collide).
-_GEN = np.ones(1, dtype=np.uint64)
 
-#: Grow-only scratch arrays keyed by role.
-_SCRATCH: dict[str, np.ndarray] = {}
+class _ThreadScratch(threading.local):
+    """One thread's scratch state (a fresh instance per thread)."""
 
-#: Monotone epoch for the hash tables' slot-validity stamps (a slot is
-#: live iff its gen equals the call's epoch — replaces per-call memset).
-_EPOCH = np.zeros(1, dtype=np.int64)
+    def __init__(self) -> None:
+        #: Persistent mex generation counter (stamp arrays never need
+        #: clearing; uint64 generations cannot realistically collide).
+        self.gen = np.ones(1, dtype=np.uint64)
+        #: Grow-only scratch arrays keyed by role.
+        self.buffers: dict[str, np.ndarray] = {}
+        #: Monotone epoch for the hash tables' slot-validity stamps (a
+        #: slot is live iff its gen equals the call's epoch — replaces
+        #: per-call memset).
+        self.epoch = 0
+
+
+_TLS = _ThreadScratch()
 
 
 def _next_epoch() -> int:
-    _EPOCH[0] += 1
-    return int(_EPOCH[0])
+    _TLS.epoch += 1
+    return _TLS.epoch
 
 
 def active() -> bool:
@@ -76,13 +88,13 @@ def scope(jit: str = "auto"):
 
 
 def _scratch(name: str, size: int, dtype, zero: bool = False) -> np.ndarray:
-    buf = _SCRATCH.get(name)
+    buf = _TLS.buffers.get(name)
     if buf is None or buf.shape[0] < size:
         cap = max(size, 1024)
         if buf is not None:
             cap = max(cap, buf.shape[0] * 2)
         buf = (np.zeros if zero else np.empty)(cap, dtype=dtype)
-        _SCRATCH[name] = buf
+        _TLS.buffers[name] = buf
     return buf
 
 
@@ -93,10 +105,10 @@ def _table(name: str, size: int, zero: bool = False) -> np.ndarray:
     fresh), so a grown table never needs re-zeroing beyond its initial
     allocation.
     """
-    buf = _SCRATCH.get(name)
+    buf = _TLS.buffers.get(name)
     if buf is None or buf.shape[0] < size:
         buf = (np.zeros if zero else np.empty)(size, dtype=np.int64)
-        _SCRATCH[name] = buf
+        _TLS.buffers[name] = buf
     return buf[:size]
 
 
@@ -134,7 +146,7 @@ def mex_sorted(seg_ids, nbr_colors, num_segments):
     out = np.empty(int(num_segments), dtype=np.int32)
     _K["mex_sorted"](
         seg_ids, nbr_colors, int(num_segments), out, _stamp_for(max_run),
-        _GEN,
+        _TLS.gen,
     )
     return out
 
@@ -158,7 +170,7 @@ def waved_color(active_ids, seg, nbr, colors, bounds, epos):
     out = np.ones(active_ids.shape[0], dtype=np.int32)
     _K["waved_color"](
         active_ids, seg, nbr, bounds, epos, colors, out,
-        _stamp_for(max_run), _GEN,
+        _stamp_for(max_run), _TLS.gen,
     )
     return out
 
@@ -517,8 +529,7 @@ def issue_order(key):
 
 def _reset_for_tests() -> None:
     """Drop scratch buffers and deactivate (test isolation)."""
-    global _K, _TIER
+    global _K, _TIER, _TLS
     _K = None
     _TIER = None
-    _SCRATCH.clear()
-    _GEN[0] = 1
+    _TLS = _ThreadScratch()

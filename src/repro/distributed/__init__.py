@@ -1,19 +1,12 @@
 """repro.distributed: multi-device execution over the shard protocol.
 
-The simulated GPU *cluster* (ROADMAP item 2, after Bogle & Slota):
-:func:`color_distributed` block-partitions a graph onto N simulated
-Kepler devices, colors each shard through its own
-:class:`~repro.engine.context.ExecutionContext` via a pluggable
-:class:`Transport` (in-process :class:`LocalTransport`, process-pool
-:class:`PoolTransport`; the seam is open for sockets), then repairs
-boundary conflicts with **per-round halo exchange** priced by a
-:class:`Topology` (``pcie``/``nvlink``/``ring`` interconnect models on
-the simulated clock) and **speculative boundary coloring** that ships
-only deltas and skips sync barriers on interior-only rounds.
-
-Colors are byte-identical to
-:func:`~repro.parallel.sharded.color_sharded` at equal shard counts —
-the distributed layer changes the protocol's cost model, never its
+:func:`color_distributed` runs the partitioned core
+(:mod:`repro.parallel.partitioned`) with one shard per simulated Kepler
+device behind a pluggable :class:`Transport` (:class:`LocalTransport`,
+:class:`PoolTransport`) and a halo exchange priced by a
+:class:`Topology` (``pcie``/``nvlink``/``ring``).  Colors are
+byte-identical to :func:`~repro.parallel.sharded.color_sharded` at equal
+shard counts: the distributed layer changes the cost model, never the
 decisions.  See docs/DISTRIBUTED.md.
 """
 

@@ -1,65 +1,48 @@
 """Multi-device distributed coloring with halo exchange.
 
-:func:`color_distributed` lifts :func:`~repro.parallel.sharded
-.color_sharded` onto a modeled device cluster (Bogle & Slota's
-distributed-GPU blueprint): the vertex set block-partitions onto ``N``
-simulated Kepler devices, each device colors its shard through its own
-:class:`~repro.engine.context.ExecutionContext` (via the pluggable
-:class:`~repro.distributed.transport.Transport`), and the boundary
-repair runs as **per-round halo exchange** — devices ship boundary
-colors over the :class:`~repro.distributed.topology.Topology`, whose
-latency/bandwidth costs are charged to the simulated clock.
+A thin wrapper over :class:`~repro.parallel.partitioned.PartitionedRun`
+(the protocol is documented there), after Bogle & Slota's distributed-GPU
+blueprint.  The piece source block-partitions the vertex set onto ``N``
+simulated Kepler devices, each coloring its shard through its own
+:class:`~repro.engine.context.ExecutionContext` behind the pluggable
+:class:`~repro.distributed.transport.Transport`.  The exchange policy
+ships boundary colors over the
+:class:`~repro.distributed.topology.Topology` after every repair round,
+and the interconnect's latency/bandwidth cost lands on the simulated
+clock.
 
-Byte-identity contract
-----------------------
-The *functional* decision sequence is exactly ``color_sharded``'s: the
-same block partition, the same per-shard jobs, the same Jacobi rule
-(losers = higher-id endpoints of conflicted edges, recolored to the mex
-of a snapshot neighborhood), the same round cap and sequential-sweep
-fallback.  The distributed layer changes only *when data moves and what
-it costs*: the halo protocol delivers every boundary color change to
-every adjacent device the round it happens, so each device's halo is
-provably equal to the global snapshot (``HaloState.verify`` asserts it
-when validation is on) and the local decisions equal the global ones.
-``color_distributed(devices=k)`` therefore returns colors byte-identical
-to ``color_sharded(num_shards=k)`` — the golden-suite leg in
-``tests/test_distributed.py``.
+The halo protocol delivers every boundary color change to every adjacent
+device the round it happens, so each device's halo equals the global
+snapshot (``HaloState.verify`` asserts it when validation is on) and
+``color_distributed(devices=k)`` returns colors byte-identical to
+``color_sharded(num_shards=k)``.  The distributed layer changes only
+*when data moves and what it costs*.
 
-Lockstep vs speculative
------------------------
-``speculate=False`` models the classic lockstep loop: every round is a
-global barrier where each device re-ships its **full** boundary color
-vector to every linked neighbor (how the pre-distributed code behaved,
-priced).  ``speculate=True`` models speculative boundary coloring:
-devices recolor tentatively from the halo they already hold and ship
-only **deltas** — the boundary vertices that actually changed — to the
-devices adjacent to them; a linked device pair with no change on its
-cut exchanges nothing and does not synchronize that round.
-
-``sync_rounds`` counts synchronizations at the *link* grain — one per
-linked (unordered) device pair per round it exchanged — because that is
-the quantity lockstep inflates: a barrier forces every linked pair into
-every round (``links × (rounds + 1)``, initial exchange included), while
-speculation synchronizes a pair only in rounds where its cut actually
-changed.  Each pair-round speculation avoided is a *speculation hit*
-(the pair's tentative colors stood without synchronization).  Both the
-sync-round count and the modeled byte volume are deterministic
-functional quantities, so ``benchmarks/BENCH_distributed.json`` gates
-them exactly.
+``speculate=False`` models the lockstep loop: every round is a global
+barrier where each device re-ships its **full** boundary color vector to
+every linked neighbor.  ``speculate=True`` ships only **deltas** — the
+boundary vertices that changed — to the devices adjacent to them; a
+linked pair whose cut saw no change exchanges nothing and does not
+synchronize that round.  ``sync_rounds`` counts synchronizations per
+linked (unordered) device pair and round, initial exchange included, so
+lockstep pays ``links × (rounds + 1)``; each pair-round speculation
+avoided is a *speculation hit*.  Both counts and the modeled byte volume
+are deterministic, so ``benchmarks/BENCH_distributed.json`` gates them
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..coloring.base import COLOR_DTYPE, ColoringResult, count_conflicts
-from ..faults import Robustness, resolve_robustness
-from ..graph.partition import block_partition, boundary_vertices
-from ..obs.observe import resolve_observe
-from ..parallel.jobs import ColorJob, JobFailure
-from ..parallel.sharded import _mex
-from ..resilience.checkpoint import Checkpointer, load_resume, run_fingerprint
-from ..resilience.deadline import DeadlineExceeded, resolve_control
+from ..coloring.base import ColoringResult
+from ..parallel.jobs import JobFailure
+from ..parallel.partitioned import (
+    BlockPieces,
+    PartitionedRun,
+    PieceFailure,
+    resolve_settings,
+)
 from .halo import COLOR_BYTES, DELTA_BYTES, HaloState, build_halo_plan
 from .topology import Message, resolve_topology
 from .transport import Transport, resolve_transport
@@ -67,55 +50,283 @@ from .transport import Transport, resolve_transport
 __all__ = ["DistributedColoringError", "color_distributed"]
 
 
-class DistributedColoringError(RuntimeError):
+class DistributedColoringError(PieceFailure):
     """A device shard failed after the transport's retries."""
 
-    def __init__(self, failures: list[JobFailure]) -> None:
-        self.failures = list(failures)
-        detail = "; ".join(
-            f"device {f.index} ({f.method} on {f.graph}): {f.error}"
-            for f in self.failures
+    noun, piece = "device shard(s)", "device"
+
+
+class _Devices(BlockPieces):
+    """One block per simulated device, colored through a transport."""
+
+    label = mode = "distributed"
+    cap_chain = ("distributed", "halo-jacobi")
+    error = DistributedColoringError
+
+    def __init__(self, graph, devices, topology, transport, speculate,
+                 settings) -> None:
+        super().__init__(graph, devices)
+        self.topo = resolve_topology(
+            topology, self.num_pieces, entry_point="color_distributed"
         )
-        super().__init__(
-            f"{len(self.failures)} device shard(s) failed: {detail}"
+        self.xport = resolve_transport(
+            transport, workers=settings.workers,
+            entry_point="color_distributed",
         )
+        self.own_transport = not isinstance(transport, Transport)
+        self.speculate = speculate
+        self.settings = settings
+        self.breaker = None
+        topo, xport = self.topo.name, self.xport.name
+        self.fingerprint_extra = {"speculate": speculate, "topology": topo}
+        self.scheme_suffix = f"@{topo}" + ("" if speculate else ":lockstep")
+        self.span = {
+            "devices": self.num_pieces, "topology": topo, "transport": xport,
+            "speculate": int(speculate), "boundary_vertices": self.boundary,
+        }
+
+    def stats(self, run) -> dict:
+        return {**self.span, "mode": "distributed", "speculate": self.speculate}
+
+    def row_head(self, block: int) -> dict:
+        return {"shard": block, "device": block}
+
+    def _chain_from(self) -> str:
+        return f"distributed(x{self.num_pieces},{self.xport.name})"
+
+    def admit(self, run) -> bool:
+        """Circuit breaker: a pool transport that keeps losing devices is
+        not re-probed every call — while open, take the serial chain."""
+        rb = run.robustness
+        if rb is not None and rb.breaker is not None and self.xport.name == "pool":
+            self.breaker = rb.breaker  # consulted again after the shard phase
+            if not self.breaker.allow():
+                rb.degrade(
+                    "breaker", self._chain_from(), "sharded", "open",
+                    "circuit breaker open; skipping pool transport",
+                )
+                return False
+        return True
+
+    def color(self, run) -> list:
+        s, tracer = self.settings, run.tracer
+        jobs, blocks, members = self.jobs(run)
+        outcomes = self.xport.run_shards(
+            jobs, backend=s.backend, backend_opts=s.backend_opts,
+            validate=run.validate, want_trace=tracer is not None,
+            robustness=run.robustness, store=s.store, control=run.control,
+        )
+        failures = [o for o in outcomes if isinstance(o, JobFailure)]
+        breaker = self.breaker
+        if breaker is not None:
+            if not failures:
+                breaker.record_success()
+            elif breaker.record_failure(
+                f"{len(failures)} device shard(s) failed"
+            ):
+                run.robustness.degrade(
+                    "breaker", "closed", "open", "tripped",
+                    f"breaker {breaker.name!r} opened after "
+                    f"{breaker.failure_threshold} consecutive failing calls",
+                )
+        if failures:
+            return failures
+        for job, dev, (_, roots) in zip(jobs, blocks, outcomes):
+            if tracer is not None and roots:
+                tracer.merge_subtrace(
+                    roots, label=f"device-{dev}:{run.method}",
+                    category="device", device=dev, graph=job.graph_name(),
+                )
+        self.land(run, jobs, blocks, members, [res for res, _ in outcomes])
+        return []
+
+    def fallback(self, run, failures, healer) -> ColoringResult:
+        """The distributed → sharded chain.
+
+        Single-device operation: the serial ``color_sharded`` path on the
+        same shard count, whose colors are byte-identical to the
+        distributed run's, so the degradation is invisible in output.
+        """
+        from ..parallel.sharded import color_sharded
+
+        failed = [f.index for f in failures]
+        run.robustness.degrade(
+            "distributed", self._chain_from(), "sharded", "device-failures",
+            f"failed_devices={failed}",
+        )
+        s = self.settings
+        result = color_sharded(
+            self.graph, run.method, num_shards=self.num_pieces,
+            scheduler="serial", backend=s.backend, backend_opts=s.backend_opts,
+            observe=run.observe, validate=run.validate,
+            max_resolution_rounds=run.max_rounds, faults=healer,
+            **run.options,
+        )
+        result.extra["shard_stats"] = {
+            **(result.shard_stats or {}),
+            "degraded": "sharded", "failed_devices": failed,
+        }
+        return result
+
+    def close(self) -> None:
+        if self.own_transport:
+            self.xport.close()
 
 
-def _degrade_to_sharded(
-    graph, method, options, failures, robustness, *,
-    backend, backend_opts, observation, validate, devices,
-    max_resolution_rounds, transport_name,
-) -> ColoringResult:
-    """The distributed → sharded degradation chain.
+class _HaloExchange:
+    """Halo exchange after every repair round, priced by the topology.
 
-    When device shards keep failing, fall back to single-device
-    operation: the proven serial ``color_sharded`` path on the same
-    shard count — colors stay byte-identical to the distributed run by
-    the identity contract, so the degradation is invisible in output.
+    Lockstep ships every device's full boundary color vector to each
+    linked neighbor; speculative ships only the changed boundary
+    vertices, and only to the devices adjacent to them.
     """
-    from ..parallel.sharded import color_sharded
 
-    robustness.degrade(
-        "distributed",
-        f"distributed(x{devices},{transport_name})", "sharded",
-        "device-failures",
-        f"failed_devices={[f.index for f in failures]}",
-    )
-    healer = Robustness(
-        injector=None, policy=robustness.policy, log=robustness.log
-    )
-    result = color_sharded(
-        graph, method, num_shards=devices, scheduler="serial",
-        backend=backend, backend_opts=backend_opts,
-        observe=observation if observation.active else None,
-        validate=validate, max_resolution_rounds=max_resolution_rounds,
-        faults=healer, **options,
-    )
-    stats = dict(result.shard_stats or {})
-    stats["degraded"] = "sharded"
-    stats["failed_devices"] = [f.index for f in failures]
-    result.extra["shard_stats"] = stats
-    return result
+    phase, where = "sync", "sync-round"
+    #: The exchange's checkpointed counters, named as in ``shard_stats``.
+    _COUNTERS = ("sync_rounds", "halo_bytes_modeled", "halo_messages",
+                 "speculation_hits", "comm_time_us")
+
+    def __init__(self, source: _Devices) -> None:
+        self.plan = build_halo_plan(source.graph, source.partition)
+        self.halo = HaloState(self.plan)
+        self.topo, self.xport = source.topo, source.xport
+        self.speculate = source.speculate
+        self.links = len({tuple(sorted(pair)) for pair in self.plan.send})
+        self.sync_rounds = self.halo_bytes_modeled = self.halo_messages = 0
+        self.speculation_hits = 0
+        self.comm_time_us = 0.0
+        self.dirty = False
+
+    def _full(self, colors) -> list:
+        return [
+            (d, e, ids, colors[ids])
+            for (d, e), ids in sorted(self.plan.send.items())
+        ]
+
+    def start(self, run) -> None:
+        # Every device ships its full boundary once, so round-1
+        # conflict detection sees true halos.
+        self._exchange(run, self._full(run.colors), "halo-exchange:initial",
+                       "full")
+        self._heal(run, "halo-resync:initial")
+
+    def resume(self, run, state: dict) -> None:
+        for key in self._COUNTERS:
+            setattr(self, key, state[key])
+        # Rebuild every device's halo from the checkpointed truth.  Local
+        # reconstruction, not wire traffic: nothing is priced, so resumed
+        # stats match the uninterrupted run's exactly.
+        for (d, e), ids in sorted(self.plan.send.items()):
+            self.halo.apply(e, ids, run.colors[ids])
+
+    def check(self, run) -> None:
+        if run.validate:
+            # Protocol invariant: the halos every device would read this
+            # round equal the ground-truth colors.
+            self.halo.verify(run.colors)
+
+    def after_round(self, run, losers) -> None:
+        label = f"halo-exchange:{run.rounds}"
+        if self.speculate:
+            # A linked pair whose cut saw no change exchanges nothing —
+            # that skipped synchronization is a speculation hit.
+            payload = []
+            for (d, e), ids in sorted(self.plan.send.items()):
+                changed = ids[np.isin(ids, losers, assume_unique=True)]
+                if changed.size:
+                    payload.append((d, e, changed, run.colors[changed]))
+            synced = self._exchange(run, payload, label, "delta")
+            self.speculation_hits += self.links - synced
+        else:
+            self._exchange(run, self._full(run.colors), label, "full")
+        self._heal(run, f"halo-resync:{run.rounds}")
+
+    def state(self) -> dict:
+        return {key: getattr(self, key) for key in self._COUNTERS}
+
+    def stats(self, run) -> dict:
+        return {"links": self.links, **self.state()}
+
+    def _exchange(self, run, payload, label, mode, *, inject=True) -> int:
+        """Deliver one round's messages; charge the topology.
+
+        Returns the number of linked pairs that synchronized (one
+        unordered pair may carry messages both ways).  The halo fault
+        sites act here, on the in-flight payload — never on the
+        ground-truth colors — and mark the halo dirty so :meth:`_heal`
+        resyncs before any halo is read.
+        """
+        rb, rnd = run.robustness, run.rounds
+        if inject and rb is not None and payload:
+            if rb.fire("transport-partition", round=rnd) is not None:
+                rb.degrade(
+                    "halo", f"exchange({mode})", "resync",
+                    "transport-partition",
+                    f"round={rnd}: all {len(payload)} halo message(s) lost",
+                )
+                self.dirty = True
+                payload = []
+            elif rb.fire("halo-reorder", round=rnd) is not None:
+                # Delivery order must not matter: senders own disjoint
+                # vertex sets, so this is exercised as a commutativity
+                # check, not a corruption.
+                payload = list(reversed(payload))
+            kept = []
+            for src, dst, ids, cols in payload:
+                if rb.fire("halo-drop", round=rnd, src=src, dst=dst) is not None:
+                    rb.degrade(
+                        "halo", f"exchange({mode})", "resync", "halo-drop",
+                        f"round={rnd}: message {src}->{dst} dropped",
+                    )
+                    self.dirty = True
+                    continue
+                spec = rb.fire("halo-corrupt", round=rnd, src=src, dst=dst)
+                if spec is not None:
+                    offset = int(spec.param) if spec.param is not None else 1
+                    cols = (cols + offset).astype(cols.dtype)
+                    rb.degrade(
+                        "halo", f"exchange({mode})", "resync", "halo-corrupt",
+                        f"round={rnd}: message {src}->{dst} payload offset "
+                        f"by {offset}",
+                    )
+                    self.dirty = True
+                kept.append((src, dst, ids, cols))
+            payload = kept
+        if not payload:
+            return 0
+        per_color = COLOR_BYTES if mode == "full" else DELTA_BYTES
+        priced = [
+            Message(src, dst, ids.size * per_color)
+            for src, dst, ids, _ in payload
+        ]
+        self.xport.deliver(payload)
+        for _, dst, ids, cols in payload:
+            self.halo.apply(dst, ids, cols)
+        cost = self.topo.exchange_time_us(priced)
+        nbytes = sum(m.nbytes for m in priced)
+        synced = len({tuple(sorted((m.src, m.dst))) for m in priced})
+        self.sync_rounds += synced
+        self.halo_bytes_modeled += nbytes
+        self.halo_messages += len(priced)
+        self.comm_time_us += cost
+        if run.tracer is not None:
+            run.tracer.event(
+                label, "exchange", duration_us=cost, bytes=nbytes,
+                messages=len(priced), mode=mode, pairs_synced=synced,
+            )
+        return synced
+
+    def _heal(self, run, label) -> None:
+        """Full (priced) re-broadcast after a dirty exchange.
+
+        Runs before the next halo read, so verification still holds and
+        colors stay byte-identical; only the traffic/sync stats record
+        that healing cost something.
+        """
+        if self.dirty:
+            self.dirty = False
+            self._exchange(run, self._full(run.colors), label, "full",
+                           inject=False)
 
 
 def color_distributed(
@@ -208,504 +419,22 @@ def color_distributed(
     """
     if devices < 1:
         raise ValueError("devices must be >= 1")
-    if config is not None:
-        from ..engine.config import normalize_config
-
-        merged = normalize_config(
-            "color_distributed",
-            config,
-            {
-                "backend": backend, "backend_opts": backend_opts,
-                "store": store, "workers": workers,
-                "faults": faults, "health": health, "observe": observe,
-                "devices": None if devices == 4 else devices,
-                "topology": None if topology == "pcie" else topology,
-                "deadline_ms": deadline_ms,
-            },
-        )
-        backend, backend_opts = merged["backend"], merged["backend_opts"]
-        store, workers = merged["store"], merged["workers"]
-        faults, health = merged["faults"], merged["health"]
-        observe, deadline_ms = merged["observe"], merged["deadline_ms"]
-        devices = merged["devices"] if merged["devices"] is not None else devices
-        topology = (
-            merged["topology"] if merged["topology"] is not None else topology
-        )
-    from ..coloring.api import METHODS
-    from ..coloring.registry import resolve_method
-
-    method = resolve_method(method, METHODS, entry_point="color_distributed")
-    observation = resolve_observe(observe)
-    tracer = observation.tracer
-    robustness = resolve_robustness(faults, health)
-    control = resolve_control(deadline_ms)
-    if robustness is None and (
-        checkpoint is not None or resume is not None or control is not None
-    ):
-        # Resilience features report through result.robustness (annex:
-        # checkpoint stats, resume provenance, deadline accounting), so
-        # opting into any of them gets a bundle even with no fault plan.
-        robustness = Robustness()
-    if robustness is not None and robustness.log.tracer is None:
-        robustness.log.tracer = tracer
-    name = getattr(graph, "name", "?")
-
-    partition = block_partition(graph, devices)
-    devices = partition.num_parts
-    topo = resolve_topology(topology, devices, entry_point="color_distributed")
-    xport = resolve_transport(
-        transport, workers=workers, entry_point="color_distributed"
+    method, s = resolve_settings(
+        "color_distributed", method, config,
+        backend=backend, backend_opts=backend_opts, store=store,
+        workers=workers, faults=faults, health=health, observe=observe,
+        devices=None if devices == 4 else devices,
+        topology=None if topology == "pcie" else topology,
+        deadline_ms=deadline_ms,
     )
-    own_transport = not isinstance(transport, Transport)
-    boundary = boundary_vertices(graph, partition)
-    plan = build_halo_plan(graph, partition)
-
-    # Checkpoint identity: resuming under a different graph/scheme/
-    # option set or device count is a structured error, not garbage.
-    fingerprint = run_fingerprint(
-        graph.content_digest(), "distributed", method,
-        {**options, "speculate": speculate, "topology": topo.name},
-        devices,
+    source = _Devices(
+        graph, s.devices if s.devices is not None else devices,
+        s.topology if s.topology is not None else topology,
+        transport, speculate, s,
     )
-    ckpt = None
-    if checkpoint is not None:
-        ckpt = Checkpointer(
-            checkpoint, fingerprint=fingerprint, every=checkpoint_every,
-            robustness=robustness,
-        )
-    restored = (
-        load_resume(resume, fingerprint=fingerprint, robustness=robustness)
-        if resume is not None else None
-    )
-
-    # Circuit breaker: a pool transport that keeps losing devices is not
-    # worth re-probing every call — while open, route straight to the
-    # proven serial chain (byte-identical colors by the identity
-    # contract).
-    breaker = robustness.breaker if robustness is not None else None
-    breaker_guarded = breaker is not None and xport.name == "pool"
-    if breaker_guarded and not breaker.allow():
-        robustness.degrade(
-            "breaker", f"distributed(x{devices},{xport.name})", "sharded",
-            "open", "circuit breaker open; skipping pool transport",
-        )
-        result = _degrade_to_sharded(
-            graph, method, options, [], robustness,
-            backend=backend, backend_opts=backend_opts,
-            observation=observation, validate=validate, devices=devices,
-            max_resolution_rounds=max_resolution_rounds,
-            transport_name=xport.name,
-        )
-        result.extra["robustness"] = robustness.report()
-        if own_transport:
-            xport.close()
-        return result
-
-    run_span = None
-    if tracer is not None:
-        run_span = tracer.begin(
-            f"distributed:{name}", "run",
-            scheme=f"distributed({method})", graph=name,
-            vertices=graph.num_vertices, edges=graph.num_edges,
-            devices=devices, topology=topo.name, transport=xport.name,
-            speculate=int(speculate), boundary_vertices=int(boundary.sum()),
-        )
-    try:
-        # -- 1. shard coloring: one job per device, via the transport ---
-        halo = HaloState(plan)
-        links = sorted({tuple(sorted(pair)) for pair in plan.send})
-        sync_rounds = 0
-        halo_bytes = 0
-        halo_messages = 0
-        comm_us = 0.0
-        speculation_hits = 0
-        rounds = 0
-        recolored = 0
-        halo_dirty = False
-
-        if restored is not None:
-            meta_r, arrays_r = restored
-            colors = arrays_r["colors"].astype(COLOR_DTYPE, copy=True)
-            shard_rows = meta_r["shard_rows"]
-            agg = meta_r["agg"]
-            sync_rounds = int(meta_r["sync_rounds"])
-            halo_bytes = int(meta_r["halo_bytes"])
-            halo_messages = int(meta_r["halo_messages"])
-            comm_us = float(meta_r["comm_us"])
-            speculation_hits = int(meta_r["speculation_hits"])
-            rounds = int(meta_r["rounds"])
-            recolored = int(meta_r["recolored"])
-            # Rebuild every device's halo from the checkpointed truth.
-            # Local reconstruction, not wire traffic: nothing is priced,
-            # so resumed stats match the uninterrupted run's exactly.
-            for (d, e), ids in sorted(plan.send.items()):
-                halo.apply(e, ids, colors[ids])
-            if robustness is not None:
-                robustness.annotate("resumed", {
-                    "path": str(resume), "round": int(meta_r["round"]),
-                })
-        else:
-            members: list[np.ndarray] = []
-            jobs: list[ColorJob] = []
-            job_device: list[int] = []
-            for d in range(devices):
-                mask = partition.assignment == d
-                verts = np.nonzero(mask)[0]
-                members.append(verts)
-                if verts.size == 0:
-                    continue
-                jobs.append(
-                    ColorJob(graph.subgraph_mask(mask), method, dict(options))
-                )
-                job_device.append(d)
-            outcomes = xport.run_shards(
-                jobs, backend=backend, backend_opts=backend_opts,
-                validate=validate, want_trace=tracer is not None,
-                robustness=robustness, store=store, control=control,
-            )
-            failures = [o for o in outcomes if isinstance(o, JobFailure)]
-            if breaker_guarded:
-                if failures:
-                    if breaker.record_failure(
-                        f"{len(failures)} device shard(s) failed"
-                    ):
-                        robustness.degrade(
-                            "breaker", "closed", "open", "tripped",
-                            f"breaker {breaker.name!r} opened after "
-                            f"{breaker.failure_threshold} consecutive "
-                            f"failing calls",
-                        )
-                else:
-                    breaker.record_success()
-            if failures:
-                if robustness is None or not robustness.policy.degrade:
-                    raise DistributedColoringError(failures)
-                result = _degrade_to_sharded(
-                    graph, method, options, failures, robustness,
-                    backend=backend, backend_opts=backend_opts,
-                    observation=observation, validate=validate,
-                    devices=devices,
-                    max_resolution_rounds=max_resolution_rounds,
-                    transport_name=xport.name,
-                )
-                result.extra["robustness"] = robustness.report()
-                if run_span is not None:
-                    tracer.end(run_span, colors=result.num_colors, degraded=1)
-                    run_span = None
-                return result
-
-            colors = np.zeros(graph.num_vertices, dtype=COLOR_DTYPE)
-            shard_rows = []
-            results = []
-            for job, dev, out in zip(jobs, job_device, outcomes):
-                res, roots = out
-                results.append(res)
-                colors[members[dev]] = res.colors
-                if tracer is not None and roots:
-                    tracer.merge_subtrace(
-                        roots, label=f"device-{dev}:{method}",
-                        category="device",
-                        device=dev, graph=job.graph_name(),
-                    )
-                shard_rows.append({
-                    "shard": dev,
-                    "device": dev,
-                    "vertices": job.graph.num_vertices,
-                    "edges": job.graph.num_edges,
-                    "num_colors": res.num_colors,
-                    "iterations": res.iterations,
-                    "total_time_us": res.total_time_us,
-                })
-            # Per-device scalars fold into JSON-safe aggregates up front
-            # so checkpoints can carry them and resumed runs rebuild the
-            # same makespan result without the per-shard objects.
-            agg = {
-                "iterations": int(
-                    max((r.iterations for r in results), default=0)
-                ),
-                "gpu_us": float(
-                    max((r.gpu_time_us for r in results), default=0.0)
-                ),
-                "cpu_us": float(
-                    max((r.cpu_time_us for r in results), default=0.0)
-                ),
-                "xfer_us": float(
-                    max((r.transfer_time_us for r in results), default=0.0)
-                ),
-                "launches": int(sum(r.num_kernel_launches for r in results)),
-            }
-
-        # -- 2. halo-exchange boundary resolution -----------------------
-        def _exchange(payload, label, mode, *, inject=True):
-            """Deliver one round's messages; charge the topology.
-
-            Returns the number of linked pairs that synchronized (one
-            unordered pair may carry messages both ways).  The halo
-            fault sites act here, on the in-flight payload — never on
-            the ground-truth ``colors`` — and set ``halo_dirty`` so the
-            caller heals with a full resync before any halo is read.
-            """
-            nonlocal sync_rounds, halo_bytes, halo_messages, comm_us
-            nonlocal halo_dirty
-            if inject and robustness is not None and payload:
-                if robustness.fire(
-                    "transport-partition", round=rounds
-                ) is not None:
-                    robustness.degrade(
-                        "halo", f"exchange({mode})", "resync",
-                        "transport-partition",
-                        f"round={rounds}: all {len(payload)} halo "
-                        f"message(s) lost",
-                    )
-                    halo_dirty = True
-                    payload = []
-                else:
-                    if robustness.fire(
-                        "halo-reorder", round=rounds
-                    ) is not None:
-                        # Delivery order must not matter: senders own
-                        # disjoint vertex sets, so this is exercised as
-                        # a commutativity check, not a corruption.
-                        payload = list(reversed(payload))
-                    kept = []
-                    for src, dst, ids, cols in payload:
-                        if robustness.fire(
-                            "halo-drop", round=rounds, src=src, dst=dst
-                        ) is not None:
-                            robustness.degrade(
-                                "halo", f"exchange({mode})", "resync",
-                                "halo-drop",
-                                f"round={rounds}: message {src}->{dst} "
-                                f"dropped",
-                            )
-                            halo_dirty = True
-                            continue
-                        spec = robustness.fire(
-                            "halo-corrupt", round=rounds, src=src, dst=dst
-                        )
-                        if spec is not None:
-                            offset = (
-                                int(spec.param)
-                                if spec.param is not None else 1
-                            )
-                            cols = (cols + offset).astype(cols.dtype)
-                            robustness.degrade(
-                                "halo", f"exchange({mode})", "resync",
-                                "halo-corrupt",
-                                f"round={rounds}: message {src}->{dst} "
-                                f"payload offset by {offset}",
-                            )
-                            halo_dirty = True
-                        kept.append((src, dst, ids, cols))
-                    payload = kept
-            if not payload:
-                return 0
-            per_color = COLOR_BYTES if mode == "full" else DELTA_BYTES
-            priced = [
-                Message(src, dst, ids.size * per_color)
-                for src, dst, ids, _ in payload
-            ]
-            xport.deliver(payload)
-            for src, dst, ids, cols in payload:
-                halo.apply(dst, ids, cols)
-            cost = topo.exchange_time_us(priced)
-            nbytes = sum(m.nbytes for m in priced)
-            synced = len({tuple(sorted((m.src, m.dst))) for m in priced})
-            sync_rounds += synced
-            halo_bytes += nbytes
-            halo_messages += len(priced)
-            comm_us += cost
-            if tracer is not None:
-                tracer.event(
-                    label, "exchange", duration_us=cost,
-                    bytes=nbytes, messages=len(priced), mode=mode,
-                    pairs_synced=synced,
-                )
-            return synced
-
-        def _heal_halo(label):
-            """Full (priced) re-broadcast after a dirty exchange.
-
-            Runs before the next halo read, so verification still holds
-            and colors stay byte-identical; only the traffic/sync stats
-            record that healing cost something.
-            """
-            nonlocal halo_dirty
-            if not halo_dirty:
-                return
-            halo_dirty = False
-            _exchange(
-                [
-                    (d, e, ids, colors[ids])
-                    for (d, e), ids in sorted(plan.send.items())
-                ],
-                label, "full", inject=False,
-            )
-
-        def _ckpt_meta():
-            return {
-                "mode": "distributed", "graph": name,
-                "shard_rows": shard_rows, "agg": agg,
-                "sync_rounds": sync_rounds, "halo_bytes": halo_bytes,
-                "halo_messages": halo_messages, "comm_us": comm_us,
-                "speculation_hits": speculation_hits,
-                "rounds": rounds, "recolored": recolored,
-            }
-
-        if restored is None:
-            # Initial exchange: every device ships its full boundary
-            # color vector once, so round-1 conflict detection sees
-            # true halos.
-            _exchange(
-                [
-                    (d, e, ids, colors[ids])
-                    for (d, e), ids in sorted(plan.send.items())
-                ],
-                "halo-exchange:initial", "full",
-            )
-            _heal_halo("halo-resync:initial")
-            if ckpt is not None:
-                # Round 0 = shard phase done: the expensive part.  Saved
-                # unconditionally so a crash in round 1 never re-colors
-                # the shards.
-                ckpt.save(0, _ckpt_meta(), {"colors": colors}, force=True)
-
-        u, v = graph.edge_endpoints()
-        fallback = False
-        while True:
-            if control is not None:
-                control.check("sync-round")
-            if robustness is not None:
-                if robustness.fire(
-                    "deadline-storm", round=rounds, phase="sync"
-                ) is not None:
-                    if control is not None and control.deadline is not None:
-                        d = control.deadline
-                        raise DeadlineExceeded(
-                            d.deadline_ms, queued_ms=d.queued_ms,
-                            running_ms=d.running_ms(),
-                            where="sync-round:forced",
-                        )
-                    raise DeadlineExceeded(0.0, where="sync-round:forced")
-            conflicted = colors[u] == colors[v]
-            if not conflicted.any():
-                break
-            if validate:
-                # Protocol invariant: the halos every device would read
-                # this round equal the ground-truth colors.
-                halo.verify(colors)
-            if rounds >= max_resolution_rounds:
-                fallback = True
-                if robustness is not None:
-                    robustness.degrade(
-                        "distributed", "halo-jacobi", "sequential-sweep",
-                        "round-cap",
-                        f"rounds={rounds} "
-                        f"conflicted_edges={int(conflicted.sum())}",
-                    )
-                losers = np.unique(np.maximum(u[conflicted], v[conflicted]))
-                for w in losers:
-                    colors[w] = _mex(colors[graph.neighbors(w)])
-                recolored += int(losers.size)
-                break
-            losers = np.unique(np.maximum(u[conflicted], v[conflicted]))
-            snapshot = colors.copy()
-            for w in losers:
-                colors[w] = _mex(snapshot[graph.neighbors(w)])
-            recolored += int(losers.size)
-            rounds += 1
-            if speculate:
-                # Ship only the boundary vertices that changed, only to
-                # the devices adjacent to them.  A linked pair whose cut
-                # saw no change exchanges nothing — that skipped
-                # synchronization is a speculation hit.
-                payload = []
-                for (d, e), ids in sorted(plan.send.items()):
-                    changed = ids[np.isin(ids, losers, assume_unique=True)]
-                    if changed.size:
-                        payload.append((d, e, changed, colors[changed]))
-                synced = _exchange(payload, f"halo-exchange:{rounds}", "delta")
-                speculation_hits += len(links) - synced
-            else:
-                _exchange(
-                    [
-                        (d, e, ids, colors[ids])
-                        for (d, e), ids in sorted(plan.send.items())
-                    ],
-                    f"halo-exchange:{rounds}", "full",
-                )
-            _heal_halo(f"halo-resync:{rounds}")
-            if ckpt is not None:
-                ckpt.save(rounds, _ckpt_meta(), {"colors": colors})
-        if tracer is not None:
-            tracer.event(
-                "boundary-resolution", "resolve",
-                rounds=rounds, recolored=recolored, fallback=int(fallback),
-                sync_rounds=sync_rounds, halo_bytes=halo_bytes,
-                speculation_hits=speculation_hits,
-                remaining_conflicts=count_conflicts(graph, colors),
-            )
-
-        # -- 3. makespan result + interconnect cost ---------------------
-        result = ColoringResult(
-            colors=colors,
-            scheme=(
-                f"distributed({method})x{devices}@{topo.name}"
-                + ("" if speculate else ":lockstep")
-            ),
-            iterations=agg["iterations"] + rounds,
-            gpu_time_us=agg["gpu_us"],
-            cpu_time_us=agg["cpu_us"],
-            transfer_time_us=agg["xfer_us"] + comm_us,
-            num_kernel_launches=agg["launches"],
-        )
-        result.extra["shard_stats"] = {
-            "num_shards": devices,
-            "devices": devices,
-            "method": method,
-            "mode": "distributed",
-            "topology": topo.name,
-            "transport": xport.name,
-            "speculate": speculate,
-            "shards": shard_rows,
-            "boundary_vertices": int(boundary.sum()),
-            "links": len(links),
-            "resolution_rounds": rounds,
-            "recolored": recolored,
-            "fallback": fallback,
-            "sync_rounds": sync_rounds,
-            "halo_bytes_modeled": halo_bytes,
-            "halo_messages": halo_messages,
-            "speculation_hits": speculation_hits,
-            "comm_time_us": comm_us,
-        }
-        if observation.active:
-            result.extra.setdefault("observation", observation)
-        if robustness is not None:
-            if ckpt is not None:
-                robustness.annotate("checkpoint", ckpt.stats())
-            if control is not None and control.deadline is not None:
-                queued, running = control.elapsed_snapshot()
-                robustness.annotate("deadline", {
-                    "deadline_ms": control.deadline.deadline_ms,
-                    "queued_ms": round(queued, 3),
-                    "running_ms": round(running, 3),
-                })
-            result.extra["robustness"] = robustness.report()
-        if run_span is not None:
-            tracer.end(
-                run_span,
-                colors=result.num_colors,
-                iterations=result.iterations,
-                resolution_rounds=rounds,
-                sync_rounds=sync_rounds,
-            )
-            run_span = None
-        if validate:
-            result.validate(graph)
-        return result
-    finally:
-        if own_transport:
-            xport.close()
-        if run_span is not None and tracer is not None:
-            tracer.end(run_span)
+    return PartitionedRun(
+        graph, method, source, s, exchange=_HaloExchange(source),
+        options=options, validate=validate,
+        max_resolution_rounds=max_resolution_rounds, checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every, resume=resume,
+    ).run()

@@ -1,35 +1,16 @@
 """Pluggable transports: how device shards execute and halos ship.
 
-The distributed layer separates *what* the protocol does (partition,
-color, exchange halos, repair — :mod:`repro.distributed.api`) from *how*
-shard work runs and boundary payloads move.  A :class:`Transport`
-answers both:
-
-* :meth:`Transport.run_shards` executes the per-device coloring jobs
-  and returns one outcome per device — ``(result, trace_roots)`` or a
-  structured :class:`~repro.parallel.jobs.JobFailure`.
-* :meth:`Transport.deliver` ships one round's halo messages and returns
-  the wire bytes that crossed the transport.
-
-Two implementations now, the seam left open for sockets (a multi-host
-transport only needs these two methods plus a remote
-:class:`~repro.graph.store.GraphStore`; see docs/DISTRIBUTED.md):
-
-:class:`LocalTransport`
-    Every simulated device is an in-process
-    :class:`~repro.engine.context.ExecutionContext` of its own (own
-    upload cache, own buffer pool — nothing shared between devices, as
-    on a real multi-GPU host).  Halo delivery is an address-space copy.
-:class:`PoolTransport`
-    Devices are worker *processes* through the PR 3
-    :class:`~repro.parallel.scheduler.ProcessPoolScheduler` — real
-    isolation, real pickling, the scheduler's crash/timeout retry and
-    fault sites included.  Colors are byte-identical to the local
-    transport (the golden parity leg in ``tests/test_distributed.py``).
-
-Both honor ``store=``: shard subgraphs publish into the arena once and
-devices attach (zero-copy for ``shm``/``mmap``), mirroring
-:func:`~repro.parallel.scheduler.run_jobs`.
+A :class:`Transport` is the device seam of
+:func:`~repro.distributed.color_distributed`:
+:meth:`Transport.run_shards` runs the per-device coloring jobs (one
+``(result, trace_roots)`` or :class:`~repro.parallel.jobs.JobFailure`
+per device) and :meth:`Transport.deliver` ships one round's halo
+messages, returning the wire bytes.  :class:`LocalTransport` keeps one
+in-process context per device; :class:`PoolTransport` runs devices as
+worker processes.  Both publish shard subgraphs into a ``store=`` arena
+the way :func:`~repro.parallel.scheduler.run_jobs` does.  A multi-host
+transport needs only these two methods plus a remote
+:class:`~repro.graph.store.GraphStore` (see docs/DISTRIBUTED.md).
 """
 
 from __future__ import annotations
@@ -39,7 +20,7 @@ import traceback as _traceback
 
 import numpy as np
 
-from ..parallel.jobs import ColorJob, JobFailure
+from ..parallel.jobs import JobFailure
 
 __all__ = [
     "Transport",
@@ -48,32 +29,6 @@ __all__ = [
     "TRANSPORTS",
     "resolve_transport",
 ]
-
-
-def _publish_jobs(jobs, store):
-    """Publish shard graphs into a ``store=`` arena (run_jobs' contract).
-
-    Returns ``(jobs, store_obj, own_store)`` — handle-bearing jobs when
-    the arena is not heap, plus whether the caller must close the store.
-    """
-    from ..graph.store import GraphStore, resolve_store
-
-    store_obj = resolve_store(store) if store is not None else None
-    own_store = store_obj is not None and not isinstance(store, GraphStore)
-    if store_obj is None or store_obj.kind == "heap":
-        for job in jobs:
-            job.graph.content_digest()  # memoize before any pickling
-        return jobs, store_obj, own_store
-    published: dict = {}
-    shipped = []
-    for job in jobs:
-        digest = job.graph.content_digest()
-        entry = published.get(digest)
-        if entry is None:
-            entry = published[digest] = store_obj.publish(job.graph)
-        placed, handle = entry
-        shipped.append(ColorJob(placed, job.method, job.options, handle=handle))
-    return shipped, store_obj, own_store
 
 
 class Transport:
@@ -106,87 +61,40 @@ class LocalTransport(Transport):
     name = "local"
 
     def __init__(self) -> None:
-        self._contexts: dict[int, object] = {}
+        self._ctx_maps: dict[int, dict] = {}
 
     def run_shards(self, jobs, *, backend=None, backend_opts=None,
                    validate=True, want_trace=False, robustness=None,
                    store=None, control=None) -> list:
-        from ..coloring.api import ENGINE_RECIPES, color_graph
-        from ..engine.context import ExecutionContext
         from ..faults import FaultInjected
-        from ..faults import runtime as fault_runtime
-        from ..obs.observe import Observation
-        from ..obs.tracer import Tracer
-        from ..resilience.deadline import activate_control
+        from ..parallel.scheduler import _run_one, publish_jobs
+        from ..resilience.deadline import Cancelled, DeadlineExceeded
 
-        jobs, store_obj, own_store = _publish_jobs(list(jobs), store)
+        jobs, store_obj, own_store = publish_jobs(jobs, store)
         outcomes: list = []
         try:
             for device, job in enumerate(jobs):
                 if control is not None:
                     control.check("shard")
-                tracer = Tracer() if want_trace else None
                 try:
-                    if robustness is not None:
-                        spec = robustness.fire("job-error", job=device, attempt=1)
-                        if spec is not None:
-                            raise FaultInjected(
-                                f"injected transient job error "
-                                f"(device={device}, attempt=1)"
-                            )
-                    if job.method in ENGINE_RECIPES:
-                        if tracer is not None:
-                            # Observed runs get a device-local tracer the
-                            # caller grafts into the merged timeline.
-                            ctx = ExecutionContext(
-                                backend=backend,
-                                observe=Observation(tracer=tracer),
-                                **dict(backend_opts or {}),
-                            )
-                        else:
-                            ctx = self._contexts.get(device)
-                            if ctx is None:
-                                ctx = self._contexts[device] = ExecutionContext(
-                                    backend=backend, **dict(backend_opts or {})
-                                )
-                        from contextlib import nullcontext
-
-                        rscope = (
-                            ctx.robustness_scope(robustness)
-                            if robustness is not None else nullcontext()
+                    if robustness is not None and robustness.fire(
+                        "job-error", job=device, attempt=1
+                    ) is not None:
+                        raise FaultInjected(
+                            f"injected transient job error "
+                            f"(device={device}, attempt=1)"
                         )
-                        cscope = (
-                            ctx.control_scope(control)
-                            if control is not None else nullcontext()
-                        )
-                        with rscope, cscope:
-                            result = ctx.run(
-                                job.graph, job.method,
-                                validate=validate, **job.options,
-                            )
-                    else:
-                        observe = (
-                            Observation(tracer=tracer)
-                            if tracer is not None else None
-                        )
-                        with fault_runtime.activate(robustness), \
-                                activate_control(control):
-                            result = color_graph(
-                                job.graph, job.method, validate=validate,
-                                observe=observe, **job.options,
-                            )
-                    result.extra.pop("observation", None)
-                    outcomes.append(
-                        (result, tracer.roots if tracer is not None else None)
+                    # Each device keeps its own context (upload cache,
+                    # buffer pool), as on a real multi-GPU host.
+                    result, roots, _ = _run_one(
+                        self._ctx_maps.setdefault(device, {}), job,
+                        backend, backend_opts or {}, validate, want_trace,
+                        False, robustness=robustness, control=control,
                     )
+                    outcomes.append((result, roots))
+                except (DeadlineExceeded, Cancelled):
+                    raise  # a blown budget fails the protocol, not a shard
                 except Exception as exc:
-                    from ..resilience.deadline import (
-                        Cancelled,
-                        DeadlineExceeded,
-                    )
-
-                    if isinstance(exc, (DeadlineExceeded, Cancelled)):
-                        raise  # a blown budget fails the protocol, not a shard
                     outcomes.append(JobFailure(
                         index=device, graph=job.graph_name(),
                         method=job.method, attempts=1, error=repr(exc),
@@ -198,13 +106,15 @@ class LocalTransport(Transport):
                 store_obj.close()
 
     def close(self) -> None:
-        self._contexts.clear()
+        self._ctx_maps.clear()
 
 
 class PoolTransport(Transport):
-    """Devices as worker processes via the PR 3 process-pool scheduler.
+    """Devices as worker processes via the process-pool scheduler.
 
-    The lazily built scheduler persists across :meth:`run_shards` calls
+    Real isolation and real pickling, with the scheduler's crash/timeout
+    retry and fault sites; colors are byte-identical to the local
+    transport.  The lazily built scheduler persists across :meth:`run_shards` calls
     (its recycle counters survive, and an explicitly passed scheduler's
     retry policy applies to every round).  :meth:`close` is idempotent
     and crash-safe: calling it twice, or after a worker crash recycled
@@ -223,7 +133,7 @@ class PoolTransport(Transport):
     def run_shards(self, jobs, *, backend=None, backend_opts=None,
                    validate=True, want_trace=False, robustness=None,
                    store=None, control=None) -> list:
-        from ..parallel.scheduler import ProcessPoolScheduler
+        from ..parallel.scheduler import ProcessPoolScheduler, publish_jobs
 
         if self._closed:
             raise RuntimeError(
@@ -238,7 +148,7 @@ class PoolTransport(Transport):
                 sched = self._own_scheduler = ProcessPoolScheduler(
                     self.workers or max(len(jobs), 1)
                 )
-        jobs, store_obj, own_store = _publish_jobs(jobs, store)
+        jobs, store_obj, own_store = publish_jobs(jobs, store)
         try:
             execute_kwargs = dict(
                 backend=backend, backend_opts=backend_opts,

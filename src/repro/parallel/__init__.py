@@ -9,10 +9,13 @@ of Rokos et al. and Bogle & Slota:
   results come back in submission order, and crashed/timed-out jobs are
   retried with backoff then surfaced as structured :class:`JobFailure`
   entries instead of killing the batch.
+* :mod:`~repro.parallel.partitioned` — the one speculate-then-resolve
+  core (:class:`~repro.parallel.partitioned.PartitionedRun`) behind
+  sharded, streamed and distributed coloring: a piece source colors the
+  pieces, an exchange policy moves boundary colors, the core repairs.
 * :mod:`~repro.parallel.sharded` — partition-sharded coloring of one
-  huge graph (:func:`color_sharded`): split the vertex set, color the
-  partitions concurrently, then run boundary-conflict resolution rounds
-  — the multi-device execution model, simulated.
+  huge graph (:func:`color_sharded`): color contiguous blocks
+  concurrently through the scheduler, then repair the cut.
 * :mod:`~repro.parallel.cache` — a content-addressed result cache
   (:class:`ResultCache`), keyed by CSR digest + scheme + resolved
   options + device preset, wired into ``color_graph``/``color_many`` as

@@ -623,6 +623,38 @@ def resolve_scheduler(spec=None, workers=None):
     raise TypeError(f"cannot interpret {spec!r} as a scheduler")
 
 
+def publish_jobs(jobs, store, *, memoize: bool = True):
+    """Place job graphs in a ``store=`` arena; ``(jobs, store, own_store)``.
+
+    With an ``'shm'``/``'mmap'`` arena each unique topology publishes
+    once and the returned jobs carry zero-copy handles.  On the heap path
+    ``memoize`` computes each digest *before* the jobs pickle, so the
+    memo travels and no worker re-hashes the arrays.  ``own_store`` says
+    the caller built the store from a spec and must close it; a
+    :class:`~repro.graph.store.GraphStore` instance stays the caller's.
+    """
+    from ..graph.store import GraphStore, resolve_store
+
+    jobs = list(jobs)
+    store_obj = resolve_store(store) if store is not None else None
+    own_store = store_obj is not None and not isinstance(store, GraphStore)
+    if store_obj is None or store_obj.kind == "heap":
+        if memoize:
+            for job in jobs:
+                job.graph.content_digest()
+        return jobs, store_obj, own_store
+    published: dict = {}  # digest -> (placed graph, handle)
+    shipped = []
+    for job in jobs:
+        digest = job.graph.content_digest()
+        entry = published.get(digest)
+        if entry is None:
+            entry = published[digest] = store_obj.publish(job.graph)
+        placed, handle = entry
+        shipped.append(ColorJob(placed, job.method, job.options, handle=handle))
+    return shipped, store_obj, own_store
+
+
 # ---------------------------------------------------------------------------
 # The orchestrator color_many calls.
 # ---------------------------------------------------------------------------
@@ -699,29 +731,9 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
         sched = SerialScheduler()
         breaker_guarded = False
 
-    from ..graph.store import GraphStore, resolve_store
-
-    store_obj = resolve_store(store) if store is not None else None
-    # A store we built from a spec string is batch-scoped; an instance the
-    # caller passed is theirs to close.
-    own_store = store_obj is not None and not isinstance(store, GraphStore)
-    crossing_processes = getattr(sched, "name", None) == "process"
-    if store_obj is not None and store_obj.kind != "heap":
-        published = {}  # digest -> (placed graph, handle)
-        shipped = []
-        for job in jobs:
-            digest = job.graph.content_digest()
-            entry = published.get(digest)
-            if entry is None:
-                entry = published[digest] = store_obj.publish(job.graph)
-            placed, handle = entry
-            shipped.append(ColorJob(placed, job.method, job.options, handle=handle))
-        jobs = shipped
-    elif crossing_processes:
-        # Heap path: memoize each unique digest *before* the jobs pickle,
-        # so the memo travels and no worker re-hashes the arrays.
-        for job in jobs:
-            job.graph.content_digest()
+    jobs, store_obj, own_store = publish_jobs(
+        jobs, store, memoize=getattr(sched, "name", None) == "process"
+    )
 
     results: list = [None] * len(jobs)
     keys: list = [None] * len(jobs)

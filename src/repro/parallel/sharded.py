@@ -1,110 +1,107 @@
-"""Partition-sharded coloring for graphs too big for one device.
+"""Partition-sharded coloring: concurrent block shards through the scheduler.
 
-The multi-device execution model, simulated: split the vertex set into
-contiguous shards (:func:`repro.graph.partition.block_partition`), color
-each shard's *induced subgraph* as an independent job — concurrently,
-through the same scheduler ``color_many`` uses — then repair the edges
-the shards could not see.  Cross-shard edges may join same-colored
-vertices (each shard colored blind to the others), so a Jacobi-style
-boundary-resolution phase follows: each round, the higher-id endpoint of
-every conflicted edge recolors itself to the smallest color missing from
-a snapshot of its neighborhood.  Rounds repeat until no conflicts
-remain; a capped round count falls back to one sequential sweep (recolor
-conflicted vertices in id order with live reads), which terminates with
-a proper coloring by construction — recoloring a vertex away from *all*
-its neighbors never creates a new conflict elsewhere.
+A thin wrapper over :class:`~repro.parallel.partitioned.PartitionedRun`
+(the protocol is documented there).  The piece source splits the vertex
+set into contiguous blocks (:func:`repro.graph.partition.block_partition`)
+and colors each block's induced subgraph as one job through the
+scheduler ``color_many`` uses, so ``workers=N`` colors shards in ``N``
+processes.  Repair runs in one address space (no exchange).  Shards run
+concurrently on replica devices, so device/transfer times are the
+makespan: the maximum over shards, not the sum.
 
-This is the same speculate-then-resolve shape as the paper's Alg. 4 and
-Grosset's 3-step framework, lifted from thread-blocks-within-a-device to
-shards-across-devices.  Timing follows the makespan model: shards run
-concurrently on replica devices, so the result's device/transfer times
-are the *maximum* over shards, not the sum (the host-side resolution
-sweep is functional and unpriced, like the other host repairs).
-
-Statistics land in ``result.shard_stats`` (per-shard vertex/edge/color
-counts and times, boundary size, resolution rounds, recolor count) and —
-when a tracer is attached — as per-shard ``worker`` spans plus a
-``boundary-resolution`` event inside the ``sharded`` run span.
+Statistics land in ``result.shard_stats``; with a tracer attached the run
+nests under one ``sharded`` span holding the per-shard ``worker``
+subtraces and a ``boundary-resolution`` event.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..coloring.base import COLOR_DTYPE, ColoringResult, count_conflicts
-from ..faults import Robustness, resolve_robustness
-from ..graph.partition import block_partition, boundary_vertices
-from ..obs.observe import resolve_observe
+from ..coloring.base import ColoringResult
 from .jobs import ColorJob, JobFailure
+from .partitioned import (
+    BlockPieces,
+    PartitionedRun,
+    PieceFailure,
+    resolve_settings,
+)
 from .scheduler import run_jobs
 
 __all__ = ["ShardedColoringError", "color_sharded"]
 
 
-class ShardedColoringError(RuntimeError):
+class ShardedColoringError(PieceFailure):
     """A shard job failed after retries; carries the failures."""
 
-    def __init__(self, failures: list[JobFailure]) -> None:
-        self.failures = list(failures)
-        detail = "; ".join(
-            f"shard {f.index} ({f.method} on {f.graph}): {f.error}"
-            for f in self.failures
+    noun, piece = "shard job(s)", "shard"
+
+
+class _Shards(BlockPieces):
+    """Concurrent shard jobs through :func:`run_jobs` (makespan timing)."""
+
+    label = mode = "sharded"
+    cap_chain = ("sharded", "jacobi")
+    #: Under a bare deadline shard jobs keep no fault policy: a failing
+    #: job raises :class:`ShardedColoringError` instead of degrading.
+    reports_deadline = False
+    error = ShardedColoringError
+
+    def __init__(self, graph, num_shards: int, settings) -> None:
+        super().__init__(graph, num_shards)
+        self.settings = settings
+        self.span = {"shards": self.num_pieces,
+                     "boundary_vertices": self.boundary}
+
+    def stats(self, run) -> dict:
+        return {"boundary_vertices": self.boundary}
+
+    def color(self, run) -> list:
+        s = self.settings
+        jobs, blocks, members = self.jobs(run)
+        outcomes = run_jobs(
+            jobs, workers=s.workers, scheduler=s.scheduler,
+            backend=s.backend, backend_opts=s.backend_opts,
+            observe=run.observe, validate=run.validate,
+            faults=run.robustness, store=s.store, deadline_ms=run.control,
         )
-        super().__init__(f"{len(self.failures)} shard job(s) failed: {detail}")
+        failures = [o for o in outcomes if isinstance(o, JobFailure)]
+        if not failures:
+            self.land(run, jobs, blocks, members, outcomes)
+        return failures
 
+    def fallback(self, run, failures, healer):
+        """The sharded → unsharded chain.
 
-def _degrade_to_unsharded(
-    graph, method, options, failures, robustness, *,
-    backend, backend_opts, observation, validate, num_shards,
-) -> ColoringResult:
-    """The sharded → sequential degradation chain.
-
-    When shard jobs keep failing (even through the scheduler's own
-    pool → serial chain), color the *whole* graph as one sequential,
-    fault-free job.  The result matches an unsharded ``color_graph`` run
-    byte-for-byte — not a sharded run, which partitions differently —
-    and its ``shard_stats`` records the degradation.
-    """
-    robustness.degrade(
-        "sharded", f"sharded(x{num_shards})", "unsharded", "shard-failures",
-        f"failed_shards={[f.index for f in failures]}",
-    )
-    healer = Robustness(
-        injector=None, policy=robustness.policy, log=robustness.log
-    )
-    outcome = run_jobs(
-        [ColorJob(graph, method, dict(options))],
-        scheduler="serial", backend=backend, backend_opts=backend_opts,
-        observe=observation if observation.active else None,
-        validate=validate, faults=healer,
-    )[0]
-    if isinstance(outcome, JobFailure):
-        raise ShardedColoringError(list(failures) + [outcome])
-    outcome.extra["shard_stats"] = {
-        "num_shards": num_shards,
-        "method": method,
-        "shards": [],
-        "degraded": "unsharded",
-        "failed_shards": [f.index for f in failures],
-        "sync_rounds": 0,
-        "halo_bytes_modeled": 0,
-        "speculation_hits": 0,
-    }
-    if observation.active:
-        outcome.extra.setdefault("observation", observation)
-    return outcome
-
-
-def _mex(neighbor_colors: np.ndarray) -> int:
-    """Smallest positive color absent from ``neighbor_colors``."""
-    used = np.unique(neighbor_colors[neighbor_colors > 0])
-    color = 1
-    for c in used:
-        if c == color:
-            color += 1
-        elif c > color:
-            break
-    return color
+        Color the *whole* graph as one serial, fault-free job.  The result
+        matches an unsharded ``color_graph`` run byte-for-byte — not a
+        sharded run, which partitions differently — and its
+        ``shard_stats`` records the degradation.
+        """
+        failed = [f.index for f in failures]
+        run.robustness.degrade(
+            "sharded", f"sharded(x{self.num_pieces})", "unsharded",
+            "shard-failures", f"failed_shards={failed}",
+        )
+        s = self.settings
+        outcome = run_jobs(
+            [ColorJob(self.graph, run.method, dict(run.options))],
+            scheduler="serial", backend=s.backend, backend_opts=s.backend_opts,
+            observe=run.observe, validate=run.validate, faults=healer,
+        )[0]
+        if isinstance(outcome, JobFailure):
+            raise ShardedColoringError(list(failures) + [outcome])
+        outcome.extra["shard_stats"] = {
+            "num_shards": self.num_pieces,
+            "method": run.method,
+            "shards": [],
+            "degraded": "unsharded",
+            "failed_shards": failed,
+            "sync_rounds": 0,
+            "halo_bytes_modeled": 0,
+            "speculation_hits": 0,
+        }
+        if run.observe is not None:
+            outcome.extra.setdefault("observation", run.observation)
+        return outcome
 
 
 def color_sharded(
@@ -178,12 +175,12 @@ def color_sharded(
         per Jacobi round, and overruns raise the structured
         :class:`~repro.resilience.DeadlineExceeded`.
     checkpoint / checkpoint_every / resume:
-        Streamed runs only (forwarded to
-        :func:`~repro.parallel.streaming.color_streamed`): periodic
-        atomic round-state checkpoints and byte-identical resume.  The
-        concurrent sharded path recomputes from scratch by design —
-        pass ``stream=True`` (or use ``color_distributed``) to
-        checkpoint.
+        Round-state checkpointing (see :mod:`repro.resilience`):
+        ``checkpoint=<path>`` atomically saves colors + counters after
+        the shard phase and every ``checkpoint_every`` resolution
+        rounds; ``resume=<path>`` restores a matching checkpoint and
+        continues — final colors are byte-identical to an uninterrupted
+        run.  A missing resume file is a normal fresh start.
     **options:
         Scheme options, forwarded to every shard job.
 
@@ -200,29 +197,12 @@ def color_sharded(
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    if config is not None:
-        from ..engine.config import normalize_config
-
-        merged = normalize_config(
-            "color_sharded",
-            config,
-            {
-                "backend": backend, "backend_opts": backend_opts,
-                "store": store, "workers": workers, "scheduler": scheduler,
-                "faults": faults, "health": health, "observe": observe,
-                "deadline_ms": deadline_ms,
-            },
-        )
-        backend, backend_opts = merged["backend"], merged["backend_opts"]
-        store, workers = merged["store"], merged["workers"]
-        scheduler = merged["scheduler"]
-        faults, health = merged["faults"], merged["health"]
-        observe = merged["observe"]
-        deadline_ms = merged["deadline_ms"]
-    from ..coloring.api import METHODS
-    from ..coloring.registry import resolve_method
-
-    method = resolve_method(method, METHODS, entry_point="color_sharded")
+    method, s = resolve_settings(
+        "color_sharded", method, config,
+        backend=backend, backend_opts=backend_opts, store=store,
+        workers=workers, scheduler=scheduler, faults=faults, health=health,
+        observe=observe, deadline_ms=deadline_ms,
+    )
     if stream or memory_budget_mb is not None:
         from .streaming import color_streamed
 
@@ -230,172 +210,17 @@ def color_sharded(
             graph, method,
             num_windows=None if memory_budget_mb is not None else num_shards,
             memory_budget_mb=memory_budget_mb,
-            backend=backend, backend_opts=backend_opts,
-            observe=observe, validate=validate,
+            backend=s.backend, backend_opts=s.backend_opts,
+            observe=s.observe, validate=validate,
             max_resolution_rounds=max_resolution_rounds,
-            faults=faults, health=health,
-            deadline_ms=deadline_ms, checkpoint=checkpoint,
+            faults=s.faults, health=s.health,
+            deadline_ms=s.deadline_ms, checkpoint=checkpoint,
             checkpoint_every=checkpoint_every, resume=resume,
             **options,
         )
-    if checkpoint is not None or resume is not None:
-        raise ValueError(
-            "checkpoint=/resume= apply to streamed runs: pass stream=True "
-            "(or memory_budget_mb=), or use color_distributed — the "
-            "concurrent sharded path holds no resumable round state"
-        )
-    from ..resilience.deadline import resolve_control
-
-    control = resolve_control(deadline_ms)
-    observation = resolve_observe(observe)
-    tracer = observation.tracer
-    robustness = resolve_robustness(faults, health)
-    if robustness is not None and robustness.log.tracer is None:
-        robustness.log.tracer = tracer
-    name = getattr(graph, "name", "?")
-
-    partition = block_partition(graph, num_shards)
-    num_shards = partition.num_parts
-    boundary = boundary_vertices(graph, partition)
-
-    run_span = None
-    if tracer is not None:
-        run_span = tracer.begin(
-            f"sharded:{name}", "run",
-            scheme=f"sharded({method})", graph=name,
-            vertices=graph.num_vertices, edges=graph.num_edges,
-            shards=num_shards, boundary_vertices=int(boundary.sum()),
-        )
-    try:
-        # -- 1. shard coloring (concurrent jobs through the scheduler) --
-        members: list[np.ndarray] = []
-        jobs: list[ColorJob] = []
-        job_shard: list[int] = []  # shard id per job (empty shards skipped)
-        for p in range(num_shards):
-            mask = partition.assignment == p
-            verts = np.nonzero(mask)[0]
-            members.append(verts)
-            if verts.size == 0:
-                continue
-            jobs.append(ColorJob(graph.subgraph_mask(mask), method, dict(options)))
-            job_shard.append(p)
-        outcomes = run_jobs(
-            jobs, workers=workers, scheduler=scheduler,
-            backend=backend, backend_opts=backend_opts,
-            observe=observation if observation.active else None,
-            validate=validate, faults=robustness, store=store,
-            deadline_ms=control,
-        )
-        failures = [o for o in outcomes if isinstance(o, JobFailure)]
-        if failures:
-            if robustness is None or not robustness.policy.degrade:
-                raise ShardedColoringError(failures)
-            result = _degrade_to_unsharded(
-                graph, method, options, failures, robustness,
-                backend=backend, backend_opts=backend_opts,
-                observation=observation, validate=validate,
-                num_shards=num_shards,
-            )
-            result.extra["robustness"] = robustness.report()
-            if run_span is not None:
-                tracer.end(run_span, colors=result.num_colors, degraded=1)
-                run_span = None
-            return result
-
-        colors = np.zeros(graph.num_vertices, dtype=COLOR_DTYPE)
-        shard_rows = []
-        for job, shard, res in zip(jobs, job_shard, outcomes):
-            colors[members[shard]] = res.colors
-            shard_rows.append({
-                "shard": shard,
-                "vertices": job.graph.num_vertices,
-                "edges": job.graph.num_edges,
-                "num_colors": res.num_colors,
-                "iterations": res.iterations,
-                "total_time_us": res.total_time_us,
-            })
-
-        # -- 2. boundary-conflict resolution (Jacobi, then fallback) ----
-        u, v = graph.edge_endpoints()
-        rounds = 0
-        recolored = 0
-        fallback = False
-        while True:
-            if control is not None:
-                control.check("round")
-            conflicted = colors[u] == colors[v]
-            if not conflicted.any():
-                break
-            if rounds >= max_resolution_rounds:
-                # Sequential sweep: live reads, id order — terminates.
-                fallback = True
-                if robustness is not None:
-                    robustness.degrade(
-                        "sharded", "jacobi", "sequential-sweep", "round-cap",
-                        f"rounds={rounds} "
-                        f"conflicted_edges={int(conflicted.sum())}",
-                    )
-                losers = np.unique(np.maximum(u[conflicted], v[conflicted]))
-                for w in losers:
-                    colors[w] = _mex(colors[graph.neighbors(w)])
-                recolored += int(losers.size)
-                break
-            losers = np.unique(np.maximum(u[conflicted], v[conflicted]))
-            snapshot = colors.copy()
-            for w in losers:
-                colors[w] = _mex(snapshot[graph.neighbors(w)])
-            recolored += int(losers.size)
-            rounds += 1
-        if tracer is not None:
-            tracer.event(
-                "boundary-resolution", "resolve",
-                rounds=rounds, recolored=recolored,
-                fallback=int(fallback),
-                remaining_conflicts=count_conflicts(graph, colors),
-            )
-
-        # -- 3. assemble the makespan-model result ----------------------
-        result = ColoringResult(
-            colors=colors,
-            scheme=f"sharded({method})x{num_shards}",
-            iterations=max((r.iterations for r in outcomes), default=0) + rounds,
-            gpu_time_us=max((r.gpu_time_us for r in outcomes), default=0.0),
-            cpu_time_us=max((r.cpu_time_us for r in outcomes), default=0.0),
-            transfer_time_us=max(
-                (r.transfer_time_us for r in outcomes), default=0.0
-            ),
-            num_kernel_launches=sum(r.num_kernel_launches for r in outcomes),
-        )
-        result.extra["shard_stats"] = {
-            "num_shards": num_shards,
-            "method": method,
-            "shards": shard_rows,
-            "boundary_vertices": int(boundary.sum()),
-            "resolution_rounds": rounds,
-            "recolored": recolored,
-            "fallback": fallback,
-            # Uniform boundary-resolution keys (see color_distributed):
-            # one address space means every Jacobi round is one global
-            # synchronization and no halo bytes ever move.
-            "sync_rounds": rounds,
-            "halo_bytes_modeled": 0,
-            "speculation_hits": 0,
-        }
-        if observation.active:
-            result.extra.setdefault("observation", observation)
-        if robustness is not None:
-            result.extra["robustness"] = robustness.report()
-        if run_span is not None:
-            tracer.end(
-                run_span,
-                colors=result.num_colors,
-                iterations=result.iterations,
-                resolution_rounds=rounds,
-            )
-            run_span = None
-        if validate:
-            result.validate(graph)
-        return result
-    finally:
-        if run_span is not None and tracer is not None:
-            tracer.end(run_span)
+    return PartitionedRun(
+        graph, method, _Shards(graph, num_shards, s), s, options=options,
+        validate=validate, max_resolution_rounds=max_resolution_rounds,
+        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+        resume=resume,
+    ).run()

@@ -1,44 +1,31 @@
 """Out-of-core streaming: color graphs bigger than RAM, window by window.
 
-:func:`color_sharded` holds every shard's induced subgraph alive at once
-(they are one job list), so peak memory is ``O(m)`` no matter the shard
-count.  This module is the bounded-memory sibling: the vertex range is
-cut into contiguous **windows** (the same ``linspace`` bounds as
-:func:`~repro.graph.partition.block_partition`, so a ``num_windows=k``
-stream colors the exact vertex blocks a ``num_shards=k`` sharded run
-does), and each window's induced subgraph is materialized, colored
-through one shared :class:`~repro.engine.context.ExecutionContext`, and
-dropped before the next window is touched.  The backing graph is only
-ever *sliced* — pair it with an mmap-backed store
-(:class:`~repro.graph.store.MmapStore` /
-:func:`~repro.graph.io.stream.read_csr_bin`) and the full topology never
-enters private memory at all: peak RSS is ``O(n + window)``, which is
-what lets a 100M+ edge graph color on a small box.
+A thin wrapper over :class:`~repro.parallel.partitioned.PartitionedRun`
+(the protocol is documented there) whose piece source bounds memory.
+:func:`~repro.parallel.sharded.color_sharded` holds every shard's induced
+subgraph alive at once, so its peak memory is ``O(m)``.  Here the vertex
+range is cut into contiguous **windows** (the same bounds as
+:func:`~repro.graph.partition.block_partition`, so ``num_windows=k``
+colors the vertex blocks ``num_shards=k`` does), and each window's
+induced subgraph is built, colored through one shared
+:class:`~repro.engine.context.ExecutionContext` and dropped before the
+next.  The backing graph is only ever *sliced*: with an mmap-backed
+store (:class:`~repro.graph.store.MmapStore`,
+:func:`~repro.graph.io.stream.read_csr_bin`) the topology never enters
+private memory, and peak RSS is ``O(n + window)``.
 
-The repair phase is the same speculate-then-resolve shape as sharded
-coloring (paper Alg. 4), restated to never touch ``O(m)`` at once: each
-Jacobi round scans for conflicted edges window by window, marks the
-higher-id endpoint of every conflict, and recolors the marked vertices
-from a snapshot — byte-identical decisions to the sharded resolver,
-which scans the same edges in one array.  Validation is windowed too
-(``ColoringResult.validate`` would expand all edge endpoints on the
-heap), so the streaming path self-checks with bounded memory.
-
-Timing model: windows run **sequentially on one device** (that is the
-point — one box, bounded memory), so device/transfer times *sum* over
-windows, unlike the sharded makespan maximum.
+The conflict scan and the validation are windowed too, so no step ever
+expands all edge endpoints at once.  Windows run one after another on
+one device, so device/transfer times *sum* over windows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..coloring.base import COLOR_DTYPE, ColoringResult
-from ..faults import Robustness, resolve_robustness
+from ..coloring.base import ColoringResult
 from ..graph.csr import CSRGraph, OFFSET_DTYPE, VERTEX_DTYPE
-from ..obs.observe import resolve_observe
-from ..resilience.checkpoint import Checkpointer, load_resume, run_fingerprint
-from ..resilience.deadline import DeadlineExceeded, resolve_control
+from .partitioned import PartitionedRun, PieceSource, piece_row, resolve_settings
 
 __all__ = ["plan_windows", "window_subgraph", "color_streamed"]
 
@@ -109,22 +96,83 @@ def _window_edges(graph, lo: int, hi: int):
     return sources, targets
 
 
-def _mark_conflict_losers(graph, colors, bounds, losers_mask) -> int:
-    """Flag the higher-id endpoint of every conflicted edge; count edges.
+class _Windows(PieceSource):
+    """Windows colored one after another through one shared context."""
 
-    One window at a time — every (symmetric) edge is seen from both
-    endpoint rows, so scanning all windows covers the whole edge set
-    without ever expanding it at once.  Each *undirected* conflict is
-    counted twice, matching ``count_conflicts``'s directed convention.
-    """
-    conflicted_entries = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        u, v = _window_edges(graph, int(lo), int(hi))
-        bad = colors[u] == colors[v]
-        if bad.any():
-            conflicted_entries += int(bad.sum())
-            losers_mask[np.maximum(u[bad], v[bad])] = True
-    return conflicted_entries
+    label = "streamed"
+    mode = "stream"
+    sequential = True
+
+    def __init__(self, graph, bounds: np.ndarray, settings) -> None:
+        self.graph, self.bounds, self.settings = graph, bounds, settings
+        self.num_pieces = len(bounds) - 1
+        self.span = {"windows": self.num_pieces}
+        self._losers = None
+
+    def stats(self, run) -> dict:
+        return {"mode": "stream",
+                "peak_window_bytes": run.agg["peak_window_bytes"]}
+
+    def color(self, run) -> list:
+        from ..engine.context import ExecutionContext
+
+        s, agg = self.settings, run.agg
+        agg.setdefault("peak_window_bytes", 0)
+        ctx = ExecutionContext(
+            backend=s.backend, observe=run.observe, faults=run.robustness,
+            health=None, **dict(s.backend_opts or {}),
+        )
+        for w in range(run.pieces_done, self.num_pieces):
+            lo, hi = int(self.bounds[w]), int(self.bounds[w + 1])
+            if run.control is not None:
+                run.control.check("window")
+            run.storm(w, "window", "window")
+            if hi <= lo:
+                run.pieces_done = w + 1
+                continue
+            sub = window_subgraph(self.graph, lo, hi)
+            agg["peak_window_bytes"] = max(
+                agg["peak_window_bytes"], sub.memory_bytes()
+            )
+            res = ctx.run(sub, run.method, validate=False, **run.options)
+            run.colors[lo:hi] = res.colors
+            agg["gpu_us"] += res.gpu_time_us
+            agg["cpu_us"] += res.cpu_time_us
+            agg["xfer_us"] += res.transfer_time_us
+            agg["launches"] += res.num_kernel_launches
+            agg["iterations"] = max(agg["iterations"], res.iterations)
+            run.rows.append(piece_row({"window": [lo, hi]}, sub, res))
+            ctx.evict(sub)  # the window's device buffers return to the pool
+            del sub
+            run.pieces_done = w + 1
+            run.save(run.pieces_done, "pieces")
+        return []
+
+    def find_losers(self, colors):
+        """Scan window by window: every (symmetric) edge is seen from both
+        endpoint rows, so the scan covers the edge set without expanding
+        it at once, and counts each conflict twice like the block scan."""
+        if self._losers is None:
+            self._losers = np.zeros(self.graph.num_vertices, dtype=bool)
+        losers, conflicted = self._losers, 0
+        losers[:] = False
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            u, v = _window_edges(self.graph, int(lo), int(hi))
+            bad = colors[u] == colors[v]
+            if bad.any():
+                conflicted += int(bad.sum())
+                losers[np.maximum(u[bad], v[bad])] = True
+        return np.nonzero(losers)[0], conflicted
+
+    def validate(self, result) -> None:
+        """Windowed check: ``result.validate`` would expand every edge."""
+        remaining = self.find_losers(result.colors)[1]
+        if remaining:
+            raise AssertionError(
+                f"streamed coloring left {remaining} conflicted edges"
+            )
+        if self.graph.num_vertices and int(result.colors.min()) < 1:
+            raise AssertionError("streamed coloring left uncolored vertices")
 
 
 def color_streamed(
@@ -170,256 +218,17 @@ def color_streamed(
     Returns a checker-valid coloring whose ``shard_stats`` mirrors the
     sharded layout with ``mode="stream"`` plus the peak window footprint.
     """
-    from ..engine.context import ExecutionContext
-
-    if config is not None:
-        from ..engine.config import normalize_config
-
-        merged = normalize_config(
-            "color_streamed",
-            config,
-            {
-                "backend": backend, "backend_opts": backend_opts,
-                "faults": faults, "health": health, "observe": observe,
-                "deadline_ms": deadline_ms,
-            },
-        )
-        backend, backend_opts = merged["backend"], merged["backend_opts"]
-        faults, health = merged["faults"], merged["health"]
-        observe, deadline_ms = merged["observe"], merged["deadline_ms"]
-    from ..coloring.api import METHODS
-    from ..coloring.registry import resolve_method
-
-    method = resolve_method(method, METHODS, entry_point="color_streamed")
+    method, s = resolve_settings(
+        "color_streamed", method, config,
+        backend=backend, backend_opts=backend_opts, faults=faults,
+        health=health, observe=observe, deadline_ms=deadline_ms,
+    )
     bounds = plan_windows(
         graph, num_windows=num_windows, memory_budget_mb=memory_budget_mb
     )
-    observation = resolve_observe(observe)
-    tracer = observation.tracer
-    name = getattr(graph, "name", "?")
-    num_win = len(bounds) - 1
-
-    robustness = resolve_robustness(faults, health)
-    control = resolve_control(deadline_ms)
-    if robustness is None and (
-        checkpoint is not None or resume is not None or control is not None
-    ):
-        # Resilience accounting (checkpoint stats, resume provenance,
-        # deadline attribution) reports through result.robustness, so
-        # opting into any of it gets a bundle even with no fault plan.
-        robustness = Robustness()
-    if robustness is not None and robustness.log.tracer is None:
-        robustness.log.tracer = tracer
-
-    fingerprint = run_fingerprint(
-        graph.content_digest(), "stream", method, dict(options), num_win
-    )
-    ckpt = None
-    if checkpoint is not None:
-        ckpt = Checkpointer(
-            checkpoint, fingerprint=fingerprint, every=checkpoint_every,
-            robustness=robustness,
-        )
-    restored = (
-        load_resume(resume, fingerprint=fingerprint, robustness=robustness)
-        if resume is not None else None
-    )
-
-    def _storm(round_index: int, phase: str, where: str) -> None:
-        """deadline-storm: force the budget to expire at this boundary."""
-        if robustness is None:
-            return
-        if robustness.fire(
-            "deadline-storm", round=round_index, phase=phase
-        ) is None:
-            return
-        if control is not None and control.deadline is not None:
-            d = control.deadline
-            raise DeadlineExceeded(
-                d.deadline_ms, queued_ms=d.queued_ms,
-                running_ms=d.running_ms(), where=f"{where}:forced",
-            )
-        raise DeadlineExceeded(0.0, where=f"{where}:forced")
-
-    run_span = None
-    if tracer is not None:
-        run_span = tracer.begin(
-            f"streamed:{name}", "run",
-            scheme=f"streamed({method})", graph=name,
-            vertices=graph.num_vertices, edges=graph.num_edges,
-            windows=num_win,
-        )
-    try:
-        ctx = ExecutionContext(
-            backend=backend,
-            observe=observation if observation.active else None,
-            faults=robustness, health=None,
-            **dict(backend_opts or {}),
-        )
-        colors = np.zeros(graph.num_vertices, dtype=COLOR_DTYPE)
-        window_rows = []
-        peak_window_bytes = 0
-        gpu_us = cpu_us = xfer_us = 0.0
-        launches = 0
-        max_iterations = 0
-        rounds = 0
-        recolored = 0
-        windows_done = 0
-        if restored is not None:
-            meta_r, arrays_r = restored
-            colors[:] = arrays_r["colors"].astype(COLOR_DTYPE, copy=False)
-            window_rows = meta_r["window_rows"]
-            peak_window_bytes = int(meta_r["peak_window_bytes"])
-            gpu_us = float(meta_r["gpu_us"])
-            cpu_us = float(meta_r["cpu_us"])
-            xfer_us = float(meta_r["xfer_us"])
-            launches = int(meta_r["launches"])
-            max_iterations = int(meta_r["max_iterations"])
-            rounds = int(meta_r["rounds"])
-            recolored = int(meta_r["recolored"])
-            windows_done = int(meta_r["windows_done"])
-            robustness.annotate("resumed", {
-                "path": str(resume), "round": int(meta_r["round"]),
-                "phase": meta_r.get("phase", "windows"),
-            })
-
-        def _ckpt_meta(phase: str) -> dict:
-            return {
-                "mode": "stream", "graph": name, "phase": phase,
-                "windows_done": windows_done, "window_rows": window_rows,
-                "peak_window_bytes": peak_window_bytes,
-                "gpu_us": gpu_us, "cpu_us": cpu_us, "xfer_us": xfer_us,
-                "launches": launches, "max_iterations": max_iterations,
-                "rounds": rounds, "recolored": recolored,
-            }
-
-        for widx, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if widx < windows_done:
-                continue  # resume: this window's colors are checkpointed
-            if control is not None:
-                control.check("window")
-            _storm(widx, "window", "window")
-            lo, hi = int(lo), int(hi)
-            if hi <= lo:
-                windows_done = widx + 1
-                continue
-            sub = window_subgraph(graph, lo, hi)
-            peak_window_bytes = max(peak_window_bytes, sub.memory_bytes())
-            res = ctx.run(sub, method, validate=False, **options)
-            colors[lo:hi] = res.colors
-            gpu_us += res.gpu_time_us
-            cpu_us += res.cpu_time_us
-            xfer_us += res.transfer_time_us
-            launches += res.num_kernel_launches
-            max_iterations = max(max_iterations, res.iterations)
-            window_rows.append({
-                "window": [lo, hi],
-                "vertices": sub.num_vertices,
-                "edges": sub.num_edges,
-                "num_colors": res.num_colors,
-                "iterations": res.iterations,
-                "total_time_us": res.total_time_us,
-            })
-            ctx.evict(sub)  # the window's device buffers return to the pool
-            del sub
-            windows_done = widx + 1
-            if ckpt is not None:
-                ckpt.save(
-                    windows_done, _ckpt_meta("windows"), {"colors": colors}
-                )
-
-        # -- boundary repair: windowed Jacobi, then a sequential sweep --
-        from .sharded import _mex
-
-        fallback = False
-        losers_mask = np.zeros(graph.num_vertices, dtype=bool)
-        while True:
-            if control is not None:
-                control.check("round")
-            _storm(rounds, "repair", "round")
-            losers_mask[:] = False
-            conflicted = _mark_conflict_losers(graph, colors, bounds, losers_mask)
-            if not conflicted:
-                break
-            losers = np.nonzero(losers_mask)[0]
-            if rounds >= max_resolution_rounds:
-                fallback = True
-                for w in losers:
-                    colors[w] = _mex(colors[graph.neighbors(w)])
-                recolored += int(losers.size)
-                break
-            snapshot = colors.copy()
-            for w in losers:
-                colors[w] = _mex(snapshot[graph.neighbors(w)])
-            recolored += int(losers.size)
-            rounds += 1
-            if ckpt is not None:
-                ckpt.save(
-                    num_win + rounds, _ckpt_meta("repair"), {"colors": colors}
-                )
-
-        if validate:
-            losers_mask[:] = False
-            remaining = _mark_conflict_losers(graph, colors, bounds, losers_mask)
-            if remaining:
-                raise AssertionError(
-                    f"streamed coloring left {remaining} conflicted edges"
-                )
-            if graph.num_vertices and int(colors.min()) < 1:
-                raise AssertionError("streamed coloring left uncolored vertices")
-        if tracer is not None:
-            tracer.event(
-                "boundary-resolution", "resolve",
-                rounds=rounds, recolored=recolored, fallback=int(fallback),
-            )
-
-        result = ColoringResult(
-            colors=colors,
-            scheme=f"streamed({method})x{num_win}",
-            iterations=max_iterations + rounds,
-            gpu_time_us=gpu_us,
-            cpu_time_us=cpu_us,
-            transfer_time_us=xfer_us,
-            num_kernel_launches=launches,
-        )
-        result.extra["shard_stats"] = {
-            "num_shards": num_win,
-            "method": method,
-            "mode": "stream",
-            "shards": window_rows,
-            "resolution_rounds": rounds,
-            "recolored": recolored,
-            "fallback": fallback,
-            "peak_window_bytes": peak_window_bytes,
-            # Uniform boundary-resolution keys (see color_distributed):
-            # windows run in one address space, so rounds are global
-            # synchronizations and no halo bytes move.
-            "sync_rounds": rounds,
-            "halo_bytes_modeled": 0,
-            "speculation_hits": 0,
-        }
-        if observation.active:
-            result.extra.setdefault("observation", observation)
-        if robustness is not None:
-            if ckpt is not None:
-                robustness.annotate("checkpoint", ckpt.stats())
-            if control is not None and control.deadline is not None:
-                queued, running = control.elapsed_snapshot()
-                robustness.annotate("deadline", {
-                    "deadline_ms": control.deadline.deadline_ms,
-                    "queued_ms": round(queued, 3),
-                    "running_ms": round(running, 3),
-                })
-            result.extra["robustness"] = robustness.report()
-        if run_span is not None:
-            tracer.end(
-                run_span,
-                colors=result.num_colors,
-                iterations=result.iterations,
-                resolution_rounds=rounds,
-            )
-            run_span = None
-        return result
-    finally:
-        if run_span is not None and tracer is not None:
-            tracer.end(run_span)
+    return PartitionedRun(
+        graph, method, _Windows(graph, bounds, s), s, options=options,
+        validate=validate, max_resolution_rounds=max_resolution_rounds,
+        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+        resume=resume,
+    ).run()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import rmat_er
+from repro import color_sharded, rmat_er
 from repro.distributed import color_distributed
 from repro.parallel.streaming import color_streamed
 from repro.resilience import DeadlineExceeded
@@ -88,6 +88,26 @@ def test_distributed_kill_resume_byte_identical(
         assert resumed.shard_stats[key] == \
             healthy_distributed.shard_stats[key], key
     assert resumed.robustness["resumed"]["round"] >= 0
+
+
+@pytest.mark.parametrize("kill_round", [0, 1, 2])
+def test_sharded_kill_resume_byte_identical(g, tmp_path, kill_round):
+    # Six shards cut enough edges that the repair phase runs.
+    healthy = color_sharded(g, "data-ldg", num_shards=6)
+    assert healthy.shard_stats["resolution_rounds"] >= kill_round
+    path = str(tmp_path / "sharded.ckpt")
+    with pytest.raises(DeadlineExceeded) as exc:
+        color_sharded(
+            g, "data-ldg", num_shards=6, checkpoint=path,
+            faults=f"seed=1; deadline-storm: round={kill_round}, "
+                   f"phase=repair",
+        )
+    assert exc.value.where == "round:forced"
+    resumed = color_sharded(g, "data-ldg", num_shards=6, resume=path)
+    assert np.array_equal(resumed.colors, healthy.colors)
+    assert resumed.shard_stats["resolution_rounds"] == \
+        healthy.shard_stats["resolution_rounds"]
+    assert resumed.robustness["resumed"]["round"] == kill_round
 
 
 def test_resume_of_a_completed_run_is_idempotent(g, healthy_streamed,

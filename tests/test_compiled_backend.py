@@ -27,6 +27,7 @@ from repro import (
 from repro.compiledsim import CompiledTierError, runtime
 from repro.engine.backend import BACKENDS, CompiledSimBackend, resolve_backend
 from repro.engine.config import normalize_config
+from repro.graph.generators.suite import load_graph
 from repro.parallel import color_streamed
 from repro.parallel.cache import backend_fingerprint, job_cache_key
 
@@ -66,6 +67,18 @@ def test_compiled_matches_gpusim_exactly(medium, method):
     ref = color_graph(medium, method)
     res = color_graph(medium, method, backend="compiled")
     _assert_identical(ref, res)
+
+
+def test_compiled_pricing_threads_do_not_share_scratch():
+    """``Device.commit_pair`` prices on two threads and the C tier drops
+    the GIL; shared scratch buffers made repeat runs crash or drift."""
+    graph = load_graph("rmat-er", scale_div=16)
+    ref = color_graph(graph, "data-ldg", validate=False)
+    assert round(ref.total_time_us, 3) == 429.527
+    for _ in range(3):
+        res = color_graph(graph, "data-ldg", backend="compiled", validate=False)
+        assert res.total_time_us == ref.total_time_us
+        assert np.array_equal(res.colors, ref.colors)
 
 
 @pytest.mark.parametrize("method", ["data-ldg", "topo-ldg"])

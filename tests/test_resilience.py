@@ -305,12 +305,6 @@ def test_context_and_deadline_ms_are_exclusive(g):
         color_graph(g, "data-ldg", context=ctx, deadline_ms=10.0)
 
 
-def test_checkpoint_resume_rejected_on_concurrent_sharded_path(g, tmp_path):
-    with pytest.raises(ValueError, match="stream"):
-        color_sharded(g, "data-ldg", num_shards=3,
-                      checkpoint=str(tmp_path / "c.ckpt"))
-
-
 # ------------------------------------------- halo faults heal digestwise
 @pytest.mark.parametrize("site", ["halo-drop", "halo-corrupt"])
 def test_halo_damage_heals_byte_identically(g, site):
