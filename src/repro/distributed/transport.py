@@ -114,12 +114,14 @@ class PoolTransport(Transport):
 
     Real isolation and real pickling, with the scheduler's crash/timeout
     retry and fault sites; colors are byte-identical to the local
-    transport.  The lazily built scheduler persists across :meth:`run_shards` calls
-    (its recycle counters survive, and an explicitly passed scheduler's
-    retry policy applies to every round).  :meth:`close` is idempotent
-    and crash-safe: calling it twice, or after a worker crash recycled
-    the batch pool, is a no-op — but a closed transport refuses new
-    work instead of silently building a fresh pool.
+    transport.  The lazily built scheduler, and with it one warm worker
+    pool, persists across :meth:`run_shards` calls (its recycle counters
+    survive, and an explicitly passed scheduler's retry policy applies to
+    every round).  :meth:`close` shuts the transport's own scheduler and
+    its pool down; a scheduler passed in stays the caller's to close.
+    It is idempotent and crash-safe: calling it twice, or after a worker
+    crash recycled the pool, is a no-op — but a closed transport refuses
+    new work instead of silently building a fresh pool.
     """
 
     name = "pool"
@@ -168,10 +170,9 @@ class PoolTransport(Transport):
         ]
 
     def close(self) -> None:
-        # Idempotent by design: the scheduler owns no long-lived pool
-        # (each execute() builds and reaps its own, crash or not), so
-        # closing only drops the reference and latches the closed flag.
-        self._own_scheduler = None
+        sched, self._own_scheduler = self._own_scheduler, None
+        if sched is not None:
+            sched.close()
         self._closed = True
 
     def deliver(self, messages) -> int:

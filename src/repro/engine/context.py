@@ -322,7 +322,8 @@ def color_many(
 
     * ``workers=N`` shards the batch across ``N`` worker processes
       (colors and iteration counts are byte-identical to a serial run;
-      simulated timings can differ — each worker's device starts cold).
+      each job's simulated time is that of a fresh device, as with
+      ``color_graph``, while the plain list path shares one device).
     * ``scheduler=`` picks the scheduler explicitly (``"serial"``,
       ``"process"``, or an instance); default inferred from ``workers``.
     * ``cache=`` consults a content-addressed result cache before

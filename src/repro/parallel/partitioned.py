@@ -113,7 +113,7 @@ class PieceSource:
     mode = "?"  #: checkpoint fingerprint mode
     sequential = False
     #: ``(chain, from)`` of the degradation event the round cap records.
-    cap_chain: tuple[str, str] | None = None
+    cap_chain: tuple[str, str] = ("?", "?")
     #: Whether a bare deadline gives the run a robustness report.
     reports_deadline = True
     error = PieceFailure
@@ -330,7 +330,7 @@ class PartitionedRun:
             ex.check(self)
             if self.rounds >= self.max_rounds:
                 self.fallback = True
-                if self.robustness is not None and src.cap_chain is not None:
+                if self.robustness is not None:
                     self.robustness.degrade(
                         *src.cap_chain, "sequential-sweep", "round-cap",
                         f"rounds={self.rounds} conflicted_edges={conflicted}",

@@ -38,10 +38,16 @@ in submission order.  The serial scheduler is deliberately immune to
 ``worker-crash`` / ``worker-hang`` — it is the healing fallback of the
 pool → serial degradation chain.
 
-Determinism: the simulated device is deterministic, so colors and
-iteration counts are byte-identical across schedulers and worker
-counts.  Simulated *timings* of a job can differ from a shared-context
-serial run (each worker's device starts with cold caches); see
+Pool lifetime: a :class:`ProcessPoolScheduler` builds its pool on the
+first :meth:`~ProcessPoolScheduler.execute` and keeps it, with each
+worker's context and graph caches, until :meth:`~ProcessPoolScheduler
+.close`; a crash or timeout recycle, or a new backend spec, rebuilds it.
+
+Determinism: every job prices as on a fresh device.  :func:`_run_one`,
+the job boundary of both schedulers, resets the shared context's device
+(launch-counter seed and timeline) before the run, so colors, iteration
+counts *and* simulated timings are byte-identical across schedulers,
+worker counts and whatever a kept worker ran before; see
 docs/PARALLEL.md.
 
 :func:`run_jobs` is the orchestrator ``color_many`` calls: result-cache
@@ -54,9 +60,10 @@ when the batch's health policy allows it.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
@@ -149,6 +156,12 @@ def _run_one(ctx_map: dict, job: ColorJob, backend, backend_opts: dict,
                 ctx = ctx_map["ctx"] = ExecutionContext(
                     backend=backend, **dict(backend_opts or {})
                 )
+            # Price as on a fresh device: the launch-counter seed restarts,
+            # and dropping the last job's timeline keeps a kept worker's
+            # memory flat.  Uploads and pooled buffers stay cached.
+            device = getattr(ctx.backend, "device", None)
+            if device is not None:
+                device.reset()
         scope = (
             ctx.robustness_scope(robustness)
             if robustness is not None
@@ -371,6 +384,9 @@ class SerialScheduler:
         self.backoff_s = self.retry.backoff_s
         self.jitter_seed = jitter_seed
 
+    def close(self) -> None:
+        """Nothing to release: each :meth:`execute` runs in this process."""
+
     def execute(self, jobs, *, backend=None, backend_opts=None, validate=True,
                 want_trace=False, want_rounds=False, robustness=None,
                 control=None):
@@ -413,6 +429,14 @@ class SerialScheduler:
 class ProcessPoolScheduler:
     """Shard jobs across a pool of worker processes.
 
+    The pool is built by the first :meth:`execute` and kept across calls,
+    so its workers keep their contexts (upload caches, buffer pools) and
+    graph caches warm, as a GPU keeps its device between kernel launches.
+    It is rebuilt only after a crash or timeout recycle, or when a call
+    brings a different ``(backend, backend_opts)`` spec.  :meth:`close`
+    shuts it down; the scheduler is also a context manager.  One
+    :meth:`execute` runs at a time: concurrent calls wait their turn.
+
     Parameters
     ----------
     workers:
@@ -450,6 +474,26 @@ class ProcessPoolScheduler:
         self.mp_context = mp_context
         self.jitter_seed = jitter_seed
         self.pools_recycled = 0  # observability: how often a pool was rebuilt
+        self._pool = None
+        self._pool_spec = None
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ProcessPoolScheduler":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the kept pool down and reap its workers (idempotent).
+
+        Waits for a running :meth:`execute` to finish first.  A later
+        :meth:`execute` builds a fresh pool.
+        """
+        with self._lock:
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     def _new_pool(self, backend, backend_opts):
         return ProcessPoolExecutor(
@@ -459,14 +503,26 @@ class ProcessPoolScheduler:
             initargs=(backend, dict(backend_opts or {})),
         )
 
-    def _recycle(self, pool, *, kill: bool) -> None:
-        """Retire a pool; with ``kill``, terminate its (hung) workers.
+    def _pool_for(self, backend, backend_opts):
+        """The kept pool, (re)built when missing or built for another spec."""
+        spec = (backend, dict(backend_opts or {}))
+        if self._pool is not None and self._pool_spec != spec:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+        if self._pool is None:
+            self._pool = self._new_pool(backend, backend_opts)
+            self._pool_spec = spec
+        return self._pool
+
+    def _recycle(self, *, kill: bool) -> None:
+        """Retire the kept pool; with ``kill``, terminate its (hung) workers.
 
         ``shutdown(wait=False)`` alone would *leak* a hung worker — the
         process survives shutdown and keeps its CPU/memory forever — so
         the timeout path terminates every worker still alive and reaps
         it.  Dead pools (``kill=False``) join instantly.
         """
+        pool, self._pool = self._pool, None
         procs = list(getattr(pool, "_processes", {}).values()) if kill else []
         pool.shutdown(wait=not kill, cancel_futures=True)
         for proc in procs:
@@ -502,21 +558,26 @@ class ProcessPoolScheduler:
                 "a backend *name* ('gpusim'/'cpusim') plus options, not an "
                 "instance (each worker builds its own)"
             )
+        with self._lock:
+            return self._execute(jobs, backend, backend_opts, validate,
+                                 want_trace, want_rounds, robustness, control)
+
+    def _execute(self, jobs, backend, backend_opts, validate, want_trace,
+                 want_rounds, robustness, control):
         plan = robustness.plan if robustness is not None else None
         policy = robustness.policy if robustness is not None else None
         outcomes: list = [None] * len(jobs)
         attempts = [0] * len(jobs)
         last_error = [("", "")] * len(jobs)
         pending = list(range(len(jobs)))
-        pool = None
+        futures: list = []
         retry_round = 0
         deadline_hit: dict | None = None
         try:
             while pending:
                 if control is not None:
                     control.check("dispatch")
-                if pool is None:
-                    pool = self._new_pool(backend, backend_opts)
+                pool = self._pool_for(backend, backend_opts)
                 futures = []
                 for i in pending:
                     attempts[i] += 1
@@ -524,7 +585,14 @@ class ProcessPoolScheduler:
                     budget = control.ship() if control is not None else None
                     payload = (i, jobs[i], validate, want_trace, want_rounds,
                                attempts[i], plan, policy, directive, budget)
-                    futures.append((i, pool.submit(_worker_run, payload)))
+                    try:
+                        fut = pool.submit(_worker_run, payload)
+                    except BrokenProcessPool as exc:
+                        # A worker died since the pool last ran (or during
+                        # this round): fail the attempt as a crash would.
+                        fut = Future()
+                        fut.set_exception(exc)
+                    futures.append((i, fut))
                 failed, refunded = [], []
                 rebuild, broken, timed_out = False, False, False
                 for i, fut in futures:  # submission order == streaming order
@@ -567,8 +635,8 @@ class ProcessPoolScheduler:
                         last_error[idx] = (err, tb)
                         failed.append(idx)
                 if rebuild:
-                    self._recycle(pool, kill=timed_out)
-                    pool = None
+                    self._recycle(kill=timed_out)
+                    futures = []  # gone with their pool
                 retriable = [i for i in failed if attempts[i] <= self.retries]
                 pending = sorted(retriable + refunded)
                 for i in failed:
@@ -592,8 +660,12 @@ class ProcessPoolScheduler:
                     time.sleep(self.retry.delay(retry_round))
                     retry_round += 1
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+            # The pool outlives this call, but none of this batch's work
+            # may: an early exit cancels what is still queued and waits
+            # for what is running.
+            for _, fut in futures:
+                fut.cancel()
+            wait([fut for _, fut in futures])
         return outcomes
 
 
@@ -681,6 +753,10 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
     :class:`~repro.graph.store.GraphStore` *instance* to manage the
     lifetime yourself (e.g. keep arenas warm across batches).
 
+    ``scheduler=`` as an instance is used as is and left open, so its
+    pool stays warm for the caller's next batch; a scheduler resolved
+    here from a name or ``workers=`` is closed when the batch returns.
+
     ``faults=`` / ``health=`` attach the robustness layer (see
     :mod:`repro.faults`).  When the health policy permits degradation,
     jobs the scheduler exhausted retries on are re-run once through a
@@ -711,6 +787,9 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
     tracer, recorder = observation.tracer, observation.recorder
     cache_obj = resolve_cache(cache)
     sched = resolve_scheduler(scheduler, workers)
+    # A scheduler built here lives for this call; an instance stays the
+    # caller's, with its pool.
+    owned = sched if sched is not scheduler else None
     robustness = resolve_robustness(faults, health)
     if robustness is not None and robustness.log.tracer is None:
         robustness.log.tracer = tracer
@@ -847,5 +926,7 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
                     _absorb(i, out)
         return results
     finally:
+        if owned is not None:
+            owned.close()
         if own_store and store_obj is not None:
             store_obj.close()

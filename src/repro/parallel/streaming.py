@@ -102,6 +102,7 @@ class _Windows(PieceSource):
     label = "streamed"
     mode = "stream"
     sequential = True
+    cap_chain = ("streamed", "jacobi")
 
     def __init__(self, graph, bounds: np.ndarray, settings) -> None:
         self.graph, self.bounds, self.settings = graph, bounds, settings

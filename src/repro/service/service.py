@@ -11,7 +11,8 @@ front end for concurrent callers:
   order into ``color_many`` batches (up to ``batch_max`` requests, an
   optional ``batch_window_ms`` accumulation window), executed on a
   worker thread so the event loop stays responsive; the engine batch
-  itself fans out across ``config.workers`` processes.
+  itself fans out across ``config.workers`` processes of one
+  service-owned pool, kept warm from :meth:`start` to :meth:`close`.
 * **Request coalescing** — requests are content-addressed with
   :func:`~repro.parallel.cache.job_cache_key` (graph digest + method +
   resolved options + backend preset).  A request whose key is already
@@ -27,7 +28,9 @@ Everything threads through the existing seams: a single
 ``faults`` / ``health`` / ``observe``.  A string ``store=`` spec is
 resolved once at :meth:`start` into a service-owned arena kept warm
 across batches (workers attach zero-copy handles); :meth:`close`
-releases it — no leaked ``/dev/shm`` segments.  ``observe=`` attaches a
+stops the service's workers, then releases the arena — no leaked
+``/dev/shm`` segments.  A scheduler or store *instance* in the config
+stays the caller's to close.  ``observe=`` attaches a
 service-level trace: one ``service.request`` leaf per request (with its
 wall-clock latency and coalesced/cache-hit markers) and one
 ``service.batch`` leaf per engine batch, recorded only from the event
@@ -118,6 +121,8 @@ class ColoringService:
         self._cache = resolve_cache(self.config.cache) or resolve_cache("memory")
         self._store = None  # resolved at start()
         self._owns_store = False
+        self._scheduler = None  # resolved at start()
+        self._owns_scheduler = False
         self._queues: dict[str, list[ColorRequest]] = {p: [] for p in PRIORITIES}
         self._inflight: dict[str, InflightEntry] = {}
         self._wake: asyncio.Event | None = None
@@ -151,9 +156,19 @@ class ColoringService:
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> "ColoringService":
-        """Bring the service up (idempotent): arena + dispatcher task."""
+        """Bring the service up (idempotent): arena, scheduler, dispatcher.
+
+        The scheduler is resolved once from ``config.scheduler`` /
+        ``config.workers`` and serves every batch until :meth:`close`, so
+        a process pool and its workers' caches stay warm across requests.
+        """
         if self._running:
             return self
+        from ..parallel.scheduler import resolve_scheduler
+
+        sched = self.config.scheduler
+        self._scheduler = resolve_scheduler(sched, self.config.workers)
+        self._owns_scheduler = self._scheduler is not sched
         spec = self.config.store
         if isinstance(spec, str):
             from ..graph.store import resolve_store
@@ -172,7 +187,8 @@ class ColoringService:
         return self
 
     async def close(self, *, drain: bool = True) -> None:
-        """Shut down: optionally drain queued work, release the arena.
+        """Shut down: optionally drain queued work, stop the service's
+        worker pool, release the arena.
 
         With ``drain=True`` (default) admission stops (``"draining"``
         rejections) but every already-admitted request completes; with
@@ -203,10 +219,17 @@ class ColoringService:
             except Exception as exc:
                 dispatcher_error = exc
         self._running = False
-        if self._owns_store and self._store is not None:
-            self._store.close()
-            self._store = None
-            self._owns_store = False
+        # Workers go before the arena they attach to is unlinked.
+        sched, owned = self._scheduler, self._owns_scheduler
+        self._scheduler, self._owns_scheduler = None, False
+        try:
+            if owned:
+                await asyncio.to_thread(sched.close)
+        finally:
+            if self._owns_store and self._store is not None:
+                self._store.close()
+                self._store = None
+                self._owns_store = False
         self._trace("service.close", "service")
         if dispatcher_error is not None:
             raise dispatcher_error
@@ -523,8 +546,7 @@ class ColoringService:
                 self.method,
                 backend=cfg.backend,
                 backend_opts=cfg.backend_opts,
-                workers=cfg.workers,
-                scheduler=cfg.scheduler,
+                scheduler=self._scheduler,
                 cache=self._cache,
                 store=self._store,
                 faults=self._robustness,

@@ -3,8 +3,9 @@
 The headline guarantee: ``color_many(..., workers=N)`` returns the same
 colors and iteration counts as a serial run, for every scheme and every
 ablation knob — proven against the same golden fingerprints the engine
-refactor is held to (tests/test_engine_equivalence.py).  Timings are
-exempt by design (each worker's device starts cold).
+refactor is held to (tests/test_engine_equivalence.py).  Simulated
+timings match too: every scheduler job prices as on a fresh device
+(tests/test_pool_lifetime.py).
 """
 
 import hashlib

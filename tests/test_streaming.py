@@ -118,6 +118,25 @@ def test_streamed_empty_and_tiny_graphs():
     res.validate(lone)
 
 
+def test_streamed_round_cap_records_sequential_sweep():
+    from repro.graph.builder import complete_graph
+
+    g = complete_graph(8)  # windows collide on every cross edge
+    plain = color_streamed(g, "data-ldg", num_windows=2,
+                           max_resolution_rounds=0)
+    result = color_streamed(g, "data-ldg", num_windows=2,
+                            max_resolution_rounds=0, health="default")
+    result.validate(g)
+    assert result.shard_stats["fallback"] is True
+    events = [d for d in result.robustness["degradations"]
+              if d["chain"] == "streamed"]
+    assert [(e["from"], e["to"], e["reason"]) for e in events] == [
+        ("jacobi", "sequential-sweep", "round-cap")]
+    # The event is the report's only change.
+    assert np.array_equal(result.colors, plain.colors)
+    assert result.total_time_us == plain.total_time_us
+
+
 def test_color_sharded_stream_delegation(sample):
     via_flag = color_sharded(sample, num_shards=4, stream=True)
     direct = color_streamed(sample, num_windows=4)
