@@ -343,12 +343,12 @@ def color_graph(
             elif backend is not None:
                 kwargs["backend"] = backend
             if robustness is not None:
-                # Host schemes have no round loop to guard, but the
-                # ambient bundle still collects kernel degradations, and
+                # Host schemes have no round loop to guard, but the run
+                # scope's bundle still collects kernel degradations, and
                 # ``validate`` is the audit.
-                from ..faults import runtime as fault_runtime
+                from .. import runscope
 
-                with fault_runtime.activate(robustness):
+                with runscope.scope(robustness=robustness):
                     result = METHODS[method](graph, **kwargs)
             else:
                 result = METHODS[method](graph, **kwargs)

@@ -23,13 +23,12 @@ hardware behavior either way.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import runscope
 from ..compiledsim import dispatch as _compiled
-from ..faults.runtime import note_degradation
 from ..gpusim.device import DeviceArray
 from ..gpusim.trace import TraceBuilder
 from ..graph.csr import CSRGraph
@@ -287,7 +286,7 @@ class KernelScratch:
 #: (the per-word OR sweep would cost more than one O(E log E) sort).
 DEFAULT_MEX_WORDS = 8
 
-_MEX_STRATEGY: tuple[str, int] = ("bitmask", DEFAULT_MEX_WORDS)
+_DEFAULT_MEX = ("bitmask", DEFAULT_MEX_WORDS)
 
 
 def _parse_mex_strategy(spec) -> tuple[str, int]:
@@ -308,22 +307,14 @@ def _parse_mex_strategy(spec) -> tuple[str, int]:
 
 
 def set_mex_strategy(spec) -> tuple[str, int]:
-    """Set the process-wide mex strategy; returns the previous one."""
-    global _MEX_STRATEGY
-    previous = _MEX_STRATEGY
-    _MEX_STRATEGY = _parse_mex_strategy(spec)
-    return previous
+    """Set the calling context's mex strategy; returns the previous one."""
+    previous = runscope.update(mex=_parse_mex_strategy(spec)).mex
+    return previous or _DEFAULT_MEX
 
 
-@contextlib.contextmanager
 def mex_strategy(spec):
     """Scoped mex-strategy override (the engine's ``mex=`` option)."""
-    previous = set_mex_strategy(spec)
-    try:
-        yield
-    finally:
-        global _MEX_STRATEGY
-        _MEX_STRATEGY = previous
+    return runscope.scope(mex=_parse_mex_strategy(spec))
 
 
 def _mex_sort(
@@ -386,7 +377,7 @@ def _mex_bitmask(
         # is the mex degradation chain — byte-identical results, recorded
         # when a robustness bundle is active (overflow only: the unsorted-
         # stream fallback below is a routing decision, not a degradation).
-        note_degradation(
+        runscope.note_degradation(
             "mex", "bitmask", "sort", "word-budget-overflow",
             f"num_words={num_words} > max_words={max_words}",
         )
@@ -434,7 +425,7 @@ def min_excluded_colors(
 ) -> np.ndarray:
     """Smallest positive color absent from each segment's neighbor colors.
 
-    Dispatches on the process-wide strategy (see :func:`set_mex_strategy` /
+    Dispatches on the run scope's strategy (see :func:`mex_strategy` /
     the engine's ``mex=`` option): ``bitmask`` (default) packs forbidden
     colors into uint64 words and ORs them per segment; ``sort`` is the
     historical dedup-sort formulation.  Both are exact and byte-identical.
@@ -451,7 +442,7 @@ def min_excluded_colors(
         compiled = _compiled.mex_sorted(seg_ids, nbr_colors, num_segments)
         if compiled is not None:
             return compiled
-    mode, words = _MEX_STRATEGY
+    mode, words = runscope.current().mex or _DEFAULT_MEX
     if mode == "bitmask":
         return _mex_bitmask(
             seg_ids, nbr_colors, num_segments, words, assume_sorted=assume_sorted

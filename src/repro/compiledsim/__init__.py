@@ -4,13 +4,12 @@
 routes the hot functional loop bodies — mex resolution, the fused wave
 coloring loop, conflict detection, worklist compaction, and the
 integer pricing primitives (reuse-distance scan, trace coalescing,
-issue ordering) — through JIT/AOT-compiled kernels:
+issue ordering) — through compiled kernels:
 
-* numba ``@njit(cache=True)`` when numba is importable (:mod:`.nb`),
-* otherwise C built with the system compiler + ctypes (:mod:`.cc`),
+* C built with the system compiler and bound via ctypes (:mod:`.cc`),
 * otherwise the unchanged pure-NumPy paths, with a one-time warning.
 
-Results are byte-identical across all three tiers (and to
+Results are byte-identical across both tiers (and to
 ``backend='gpusim'``): the compiled kernels are exact integer twins of
 the NumPy formulations, and the pricing half charges the same
 descriptors either way.  See docs/PERFORMANCE.md.

@@ -8,16 +8,16 @@ untouched byte-for-byte and lets the compiled tier decline anything it
 cannot prove exact (wrong dtype, non-contiguous input, unsorted
 stream).
 
-Activation follows the ``_MEX_STRATEGY`` idiom from
-:mod:`repro.coloring.kernels`: a process-global flag flipped by the
-:func:`scope` context manager, which
-:class:`~repro.engine.backend.CompiledSimBackend` wraps around each
-round loop.  The kernel table is a module global, so every thread of
-the run reads it — including the second pricing thread of
-:meth:`~repro.gpusim.device.Device.commit_pair`.  The scratch buffers
-and hash-table epochs, by contrast, are per thread: the C tier drops
-the GIL, so two pricing threads sharing one grow-only buffer would
-write through each other's pointers.
+Activation is the ``kernels``/``tier`` pair of the run scope
+(:mod:`repro.runscope`): :func:`scope` installs it for the dynamic
+extent of a run, and :class:`~repro.engine.backend.CompiledSimBackend`
+wraps each round loop in it.  The scope is per thread of control, so a
+compiled run on one thread never reroutes a plain run on another;
+:meth:`~repro.gpusim.device.Device.commit_pair` copies its caller's
+context into the second pricing thread, so both pricing threads see
+the run's tier.  The scratch buffers and hash-table epochs are per
+thread as well: the C tier drops the GIL, so two pricing threads
+sharing one grow-only buffer would write through each other's pointers.
 
 Only the *functional* halves are replaced.  Pricing — the trace
 descriptors charged per access — is emitted by the same unchanged code
@@ -31,14 +31,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .. import runscope
 from . import runtime
 
 __all__ = ["scope", "active", "tier"]
-
-#: Compiled kernel table while a scope is active, else None.
-_K: dict | None = None
-#: Resolved tier name of the active scope (for result metadata).
-_TIER: str | None = None
 
 
 class _ThreadScratch(threading.local):
@@ -66,25 +62,20 @@ def _next_epoch() -> int:
 
 def active() -> bool:
     """True while a compiled scope is active *and* a tier is loaded."""
-    return _K is not None
+    return runscope.current().kernels is not None
 
 
 def tier() -> str | None:
-    """Tier name of the active scope (``'numba'``/``'cc'``/``'numpy'``)."""
-    return _TIER
+    """Tier name of the active scope (``'cc'``/``'numpy'``)."""
+    return runscope.current().tier
 
 
 @contextmanager
 def scope(jit: str = "auto"):
     """Activate compiled dispatch for the dynamic extent of a run."""
-    global _K, _TIER
-    prev = (_K, _TIER)
     tier_name, kernels = runtime.get_kernels(jit)
-    _K, _TIER = kernels, tier_name
-    try:
+    with runscope.scope(kernels=kernels, tier=tier_name):
         yield tier_name
-    finally:
-        _K, _TIER = prev
 
 
 def _scratch(name: str, size: int, dtype, zero: bool = False) -> np.ndarray:
@@ -138,13 +129,14 @@ def _table_size(n: int) -> int:
 # ----------------------------------------------------------------------
 def mex_sorted(seg_ids, nbr_colors, num_segments):
     """Sorted-segment mex; exact twin of the bitmask/sort NumPy paths."""
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if not (_c64(seg_ids) and _c32(nbr_colors)):
         return None
-    max_run = _K["max_seg_run"](seg_ids)
+    max_run = K["max_seg_run"](seg_ids)
     out = np.empty(int(num_segments), dtype=np.int32)
-    _K["mex_sorted"](
+    K["mex_sorted"](
         seg_ids, nbr_colors, int(num_segments), out, _stamp_for(max_run),
         _TLS.gen,
     )
@@ -159,16 +151,17 @@ def waved_color(active_ids, seg, nbr, colors, bounds, epos):
     Writes ``colors`` in place and returns the per-position ``out``
     array, or ``None`` to decline.
     """
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if not (
         _c64(active_ids) and _c64(seg) and _c32(nbr) and _c32(colors)
         and _c64(bounds) and _c64(epos)
     ):
         return None
-    max_run = _K["max_seg_run"](seg)
+    max_run = K["max_seg_run"](seg)
     out = np.ones(active_ids.shape[0], dtype=np.int32)
-    _K["waved_color"](
+    K["waved_color"](
         active_ids, seg, nbr, bounds, epos, colors, out,
         _stamp_for(max_run), _TLS.gen,
     )
@@ -182,17 +175,18 @@ def detect_conflicts(seg, nbr, colors, scope_ids, num_scope):
     expansion).  Returns a uint8 mask of ``num_scope`` entries, or
     ``None`` to decline.
     """
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if not (_c64(seg) and _c32(nbr) and _c32(colors)):
         return None
     loser = np.zeros(int(num_scope), dtype=np.uint8)
     if scope_ids is None:
-        _K["detect_conflicts_full"](seg, nbr, colors, loser)
+        K["detect_conflicts_full"](seg, nbr, colors, loser)
         return loser
     if not _c64(scope_ids):
         return None
-    _K["detect_conflicts_subset"](seg, scope_ids, nbr, colors, loser)
+    K["detect_conflicts_subset"](seg, scope_ids, nbr, colors, loser)
     return loser
 
 
@@ -201,13 +195,14 @@ def detect_conflicts(seg, nbr, colors, scope_ids, num_scope):
 # ----------------------------------------------------------------------
 def pack_mask(mask):
     """``np.flatnonzero`` over a bool/uint8 mask, or ``None``."""
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if mask.dtype not in (np.bool_, np.uint8) or not mask.flags.c_contiguous:
         return None
     n = mask.shape[0]
     buf = _scratch("pack_out", n, np.int64)
-    k = _K["pack_mask"](mask.view(np.uint8), buf)
+    k = K["pack_mask"](mask.view(np.uint8), buf)
     return buf[:k].copy()
 
 
@@ -222,12 +217,13 @@ def reuse_prev(line_ids):
     scatter and an elementwise compare, so emission order is free.
     ``None`` declines (unsupported dtype).
     """
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if line_ids.dtype == np.int32 and line_ids.flags.c_contiguous:
-        fn = _K["reuse_prev_i32"]
+        fn = K["reuse_prev_i32"]
     elif line_ids.dtype == np.int64 and line_ids.flags.c_contiguous:
-        fn = _K["reuse_prev_i64"]
+        fn = K["reuse_prev_i64"]
     else:
         return None
     n = line_ids.shape[0]
@@ -247,7 +243,8 @@ def first_occurrences(key):
     Exactly ``np.unique(key, return_index=True)[1]`` — the contract of
     ``repro.gpusim.trace._first_occurrences``.  ``None`` declines.
     """
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if not _c64(key):
         return None
@@ -264,7 +261,7 @@ def first_occurrences(key):
     key_buf = _scratch("fo_key_buf", n, np.int64)
     tmp_key = _scratch("fo_tmp_key", n, np.int64)
     out = np.empty(n, dtype=np.int64)
-    k = _K["first_occurrences"](
+    k = K["first_occurrences"](
         key, out, ukey, upos, tkey, tgen, _next_epoch(), perm, tmp_perm,
         key_buf, tmp_key,
     )
@@ -280,7 +277,8 @@ def coalesce_first(warp, step_arr, line, max_warp, max_step, max_line):
     sort over the bitkey plus an adjacent-run scan selects the same
     indices in the same (key-sorted) order.  ``None`` declines.
     """
-    if _K is None or "first_occ3" not in _K:
+    K = runscope.current().kernels
+    if K is None or "first_occ3" not in K:
         return None
     if not (_c32(warp) and _c64(line)):
         return None
@@ -303,7 +301,7 @@ def coalesce_first(warp, step_arr, line, max_warp, max_step, max_line):
     key_buf = _scratch("fo3_key_buf", n, np.int64)
     tmp_key = _scratch("fo3_tmp_key", n, np.int64)
     count = _scratch("fo3_count", buckets, np.int64)
-    m = _K["first_occ3"](
+    m = K["first_occ3"](
         warp, None if const_step else step_arr, line, wb, sb, lb,
         sel, perm, tmp_perm, key_buf, tmp_key, count,
     )
@@ -319,7 +317,8 @@ def issue_order3(wave, warp, step, max_wave, max_warp, max_step):
     unsupported dtypes or when the components' widths overflow the
     bitkey.
     """
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if not _c32(wave):
         return None
@@ -341,8 +340,8 @@ def issue_order3(wave, warp, step, max_wave, max_warp, max_step):
     key_buf = _scratch("o3_key_buf", n, np.int64)
     tmp_key = _scratch("o3_tmp_key", n, np.int64)
     count = _scratch("o3_count", buckets, np.int64)
-    _K["order3"](wave, warp, step, vb, wb, sb, perm, tmp_perm, key_buf,
-                 tmp_key, count)
+    K["order3"](wave, warp, step, vb, wb, sb, perm, tmp_perm, key_buf,
+                tmp_key, count)
     return perm
 
 
@@ -360,7 +359,8 @@ def emit_coalesced(kind, warp, step_arr, line, sm, wave,
     path.  Returns the emitted count, or ``None`` to decline (caller
     falls back to the unfused path).
     """
-    if _K is None or "emit_coalesced" not in _K:
+    K = runscope.current().kernels
+    if K is None or "emit_coalesced" not in K:
         return None
     if not (_c32(warp) and _c32(sm) and _c32(wave) and _c64(line)):
         return None
@@ -386,7 +386,7 @@ def emit_coalesced(kind, warp, step_arr, line, sm, wave,
     tmp_key = _scratch("fo3_tmp_key", n, np.int64)
     count = _scratch("fo3_count", buckets, np.int64)
     out_kind, out_line, out_sm, out_warp, out_wave, out_step = out
-    return _K["emit_coalesced"](
+    return K["emit_coalesced"](
         warp, None if const_step else step_arr,
         int(step_arr[0]) if const_step and n else 0,
         line, sm, wave, wb, sb, lb, int(kind), int(seq_off),
@@ -404,7 +404,8 @@ def merge_order(wave, warp, step, seg_off, max_wave, max_warp, max_step):
     returned on any violation (or unsupported dtypes), falling back to
     the radix sort.
     """
-    if _K is None or "merge_order" not in _K:
+    K = runscope.current().kernels
+    if K is None or "merge_order" not in K:
         return None
     if not (_c32(wave) and _c32(warp) and _c32(step)):
         return None
@@ -421,8 +422,8 @@ def merge_order(wave, warp, step, seg_off, max_wave, max_warp, max_step):
     heap_key = _scratch("mo_heap_key", nseg, np.int64)
     heap_seg = _scratch("mo_heap_seg", nseg, np.int64)
     pos = _scratch("mo_pos", nseg, np.int64)
-    rc = _K["merge_order"](wave, warp, step, seg_off, wb, sb,
-                           heap_key, heap_seg, pos, perm)
+    rc = K["merge_order"](wave, warp, step, seg_off, wb, sb,
+                          heap_key, heap_seg, pos, perm)
     if rc != 0:
         return None
     return perm
@@ -441,9 +442,10 @@ def walk_supported(order, kind, line, sm):
     fallback would leave the generator's stream diverged from the
     reference path's.
     """
+    K = runscope.current().kernels
     return (
-        _K is not None
-        and "walk_stats" in _K
+        K is not None
+        and "walk_stats" in K
         and _c64(order)
         and kind.dtype == np.uint8 and kind.flags.c_contiguous
         and _c32(sm)
@@ -459,10 +461,11 @@ def walk_stats(kind, sm, line, num_sms, ldg_code, atomic_code):
     validates ``max_sm < num_sms`` and ``max_line`` against the table
     cap before committing to the fused path.
     """
+    K = runscope.current().kernels
     ldg_per_sm = np.zeros(int(num_sms), dtype=np.int64)
     out3 = np.zeros(3, dtype=np.int64)
-    _K["walk_stats"](kind, sm, line, int(num_sms), int(ldg_code),
-                     int(atomic_code), ldg_per_sm, out3)
+    K["walk_stats"](kind, sm, line, int(num_sms), int(ldg_code),
+                    int(atomic_code), ldg_per_sm, out3)
     return ldg_per_sm, int(out3[0]), int(out3[1]), int(out3[2])
 
 
@@ -473,11 +476,12 @@ def walk_ro(order, kind, line, sm, ldg_code, rep_sm, rep_count, max_line):
     the same line (-1 = first touch) — exactly the ``idx - prev`` pairs
     the argsort formulation feeds its threshold test.
     """
+    K = runscope.current().kernels
     tval = _scratch("walk_tval", int(max_line) + 1, np.int64)
     tgen = _scratch("walk_tgen", int(max_line) + 1, np.int64, zero=True)
     gap = np.empty(int(rep_count), dtype=np.int64)
-    k = _K["walk_ro"](order, kind, line, sm, int(ldg_code), int(rep_sm),
-                      gap, tval, tgen, _next_epoch())
+    k = K["walk_ro"](order, kind, line, sm, int(ldg_code), int(rep_sm),
+                     gap, tval, tgen, _next_epoch())
     return gap[:k]
 
 
@@ -491,6 +495,7 @@ def walk_l2(order, kind, line, sm, ldg_code, store_code, rep_sm, rep_hits,
     boolean-mask assignment) — and emits the L2 substream's reuse gaps
     and stall flags.  Returns ``(l2_gap, l2_stall, ro_hits)``.
     """
+    K = runscope.current().kernels
     n = order.shape[0]
     tval = _scratch("walk_tval", int(max_line) + 1, np.int64)
     tgen = _scratch("walk_tgen", int(max_line) + 1, np.int64, zero=True)
@@ -499,9 +504,9 @@ def walk_l2(order, kind, line, sm, ldg_code, store_code, rep_sm, rep_hits,
     out2 = np.zeros(2, dtype=np.int64)
     if rep_hits.dtype == np.bool_:
         rep_hits = rep_hits.view(np.uint8)
-    _K["walk_l2"](order, kind, line, sm, int(ldg_code), int(store_code),
-                  int(rep_sm), rep_hits, draws, float(rate), l2_gap,
-                  l2_stall, tval, tgen, _next_epoch(), out2)
+    K["walk_l2"](order, kind, line, sm, int(ldg_code), int(store_code),
+                 int(rep_sm), rep_hits, draws, float(rate), l2_gap,
+                 l2_stall, tval, tgen, _next_epoch(), out2)
     l2n = int(out2[0])
     return l2_gap[:l2n], l2_stall[:l2n], int(out2[1])
 
@@ -512,7 +517,8 @@ def issue_order(key):
     Keys must be non-negative int64 (the trace builder guarantees this —
     it falls back to lexsort before keys could reach 2**62).
     """
-    if _K is None:
+    K = runscope.current().kernels
+    if K is None:
         return None
     if not _c64(key):
         return None
@@ -523,13 +529,5 @@ def issue_order(key):
     tmp_perm = _scratch("io_tmp_perm", n, np.int64)
     key_buf = _scratch("io_key_buf", n, np.int64)
     tmp_key = _scratch("io_tmp_key", n, np.int64)
-    _K["issue_order"](key, perm, tmp_perm, key_buf, tmp_key)
+    K["issue_order"](key, perm, tmp_perm, key_buf, tmp_key)
     return perm
-
-
-def _reset_for_tests() -> None:
-    """Drop scratch buffers and deactivate (test isolation)."""
-    global _K, _TIER, _TLS
-    _K = None
-    _TIER = None
-    _TLS = _ThreadScratch()

@@ -1,24 +1,20 @@
 """Tier resolution for the compiled kernel backend.
 
-Three tiers, best available wins under ``jit='auto'``:
+Two tiers, best available wins under ``jit='auto'``:
 
-1. **numba** — ``@njit(cache=True)`` kernels (:mod:`.nb`); preferred
-   when numba is importable.
-2. **cc** — the same kernels as C compiled with the system compiler and
-   bound via ctypes (:mod:`.cc`); the on-disk ``.so`` cache plays the
-   role of numba's kernel cache.
-3. **numpy** — no compiled kernels at all: dispatch hooks return
+1. **cc** — the compiled kernels as C built with the system compiler
+   and bound via ctypes (:mod:`.cc`), with an on-disk ``.so`` cache.
+2. **numpy** — no compiled kernels at all: dispatch hooks return
    ``None`` and every call site runs its existing vectorized path.
-   Reaching this tier *implicitly* (``jit='auto'`` with neither numba
-   nor a C compiler usable) emits a one-time :class:`RuntimeWarning`;
-   asking for it explicitly (``jit='numpy'``) is silent.
+   Reaching this tier *implicitly* (``jit='auto'`` with no usable C
+   compiler) emits a one-time :class:`RuntimeWarning`; asking for it
+   explicitly (``jit='numpy'``) is silent.
 
 Env overrides (mainly for the CI fallback leg):
 
 * ``REPRO_COMPILED_JIT`` — force a tier, same values as ``jit=``.
 * ``REPRO_COMPILED_DISABLE`` — comma list of tiers to treat as
-  unavailable (e.g. ``numba`` to exercise the C path on a machine that
-  has numba, ``numba,cc`` to exercise the pure-NumPy fallback).
+  unavailable (``cc`` exercises the pure-NumPy fallback).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ __all__ = [
     "CompiledTierError",
 ]
 
-_TIERS = ("numba", "cc", "numpy")
+_TIERS = ("cc", "numpy")
 
 _resolved: tuple[str, dict | None] | None = None
 _warned_fallback = False
@@ -50,16 +46,6 @@ class CompiledTierError(RuntimeError):
 def _disabled() -> frozenset:
     raw = os.environ.get("REPRO_COMPILED_DISABLE", "")
     return frozenset(p.strip() for p in raw.split(",") if p.strip())
-
-
-def _try_numba() -> dict | None:
-    if "numba" in _disabled():
-        return None
-    try:
-        from . import nb
-    except ImportError:
-        return None
-    return nb.load_kernels()
 
 
 def _try_cc() -> dict | None:
@@ -78,44 +64,28 @@ def _try_cc() -> dict | None:
 def resolve_tier(jit: str = "auto") -> tuple[str, dict | None]:
     """Resolve ``jit`` to ``(tier_name, kernel_table_or_None)``.
 
-    ``jit='auto'`` tries numba, then the C tier, then pure NumPy (with
-    the one-time fallback warning).  Naming a tier requires it:
-    ``jit='numba'`` / ``'cc'`` raise :class:`CompiledTierError` when
-    unavailable, ``jit='numpy'`` is the explicit (silent) fallback.
+    ``jit='auto'`` tries the C tier, then pure NumPy (with the one-time
+    fallback warning).  ``jit='cc'`` raises :class:`CompiledTierError`
+    when the C tier is unavailable, ``jit='numpy'`` is the explicit
+    (silent) fallback.
     """
     env = os.environ.get("REPRO_COMPILED_JIT")
     if env:
         jit = env
     if jit not in ("auto", *_TIERS):
         raise ValueError(
-            f"unknown jit tier {jit!r}; pick one of 'auto', 'numba', "
-            f"'cc', 'numpy'"
+            f"unknown jit tier {jit!r}; pick one of 'auto', 'cc', 'numpy'"
         )
     if jit == "numpy":
         return "numpy", None
-    if jit == "numba":
-        kernels = _try_numba()
-        if kernels is None:
-            raise CompiledTierError(
-                "jit='numba' requested but numba is not importable "
-                "(or disabled via REPRO_COMPILED_DISABLE)"
-            )
-        return "numba", kernels
-    if jit == "cc":
-        kernels = _try_cc()
-        if kernels is None:
-            raise CompiledTierError(
-                "jit='cc' requested but no working C compiler was found "
-                "(or disabled via REPRO_COMPILED_DISABLE)"
-            )
-        return "cc", kernels
-    # auto
-    kernels = _try_numba()
-    if kernels is not None:
-        return "numba", kernels
     kernels = _try_cc()
     if kernels is not None:
         return "cc", kernels
+    if jit == "cc":
+        raise CompiledTierError(
+            "jit='cc' requested but no working C compiler was found "
+            "(or disabled via REPRO_COMPILED_DISABLE)"
+        )
     _warn_fallback()
     return "numpy", None
 
@@ -126,10 +96,10 @@ def _warn_fallback() -> None:
         return
     _warned_fallback = True
     warnings.warn(
-        "backend='compiled': numba is not importable and no C compiler "
-        "is available; falling back to the pure-NumPy kernels. Results "
-        "are identical, only wall-clock speed differs. Install numba "
-        "(or a C toolchain) to enable the compiled tier.",
+        "backend='compiled': no C compiler is available; falling back "
+        "to the pure-NumPy kernels. Results are identical, only "
+        "wall-clock speed differs. Install a C toolchain to enable the "
+        "compiled tier.",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -153,7 +123,7 @@ def current_tier() -> str | None:
 def warmup(jit: str = "auto") -> str:
     """Resolve the tier and run every kernel once on tiny inputs.
 
-    Pays numba's lazy JIT compile (or the one-off C build) up front —
+    Pays the one-off C build (or its disk-cache load) up front —
     the parallel scheduler calls this from its worker initializer so
     pool workers start hot.  Returns the resolved tier name.
     """

@@ -176,3 +176,6 @@ class MulticoreCPU:
 
     def total_time_us(self) -> float:
         return sum(e.time_us for e in self.events)
+
+    def reset(self) -> None:
+        self.events.clear()

@@ -11,7 +11,8 @@ and exposes the narrow device surface the engine needs:
   unified-memory CPU model);
 * accounting — ``mark`` / ``timing_since`` so one long-lived backend can
   serve many runs and still report per-run timings (the
-  :class:`~repro.engine.context.ExecutionContext` batching contract).
+  :class:`~repro.engine.context.ExecutionContext` batching contract),
+  and ``reset`` to price the next job as on a fresh substrate.
 
 Two implementations ship: :class:`GpuSimBackend` wraps the simulated K20c
 (:class:`~repro.gpusim.device.Device`) and is the default;
@@ -27,9 +28,9 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .. import runscope
 from ..cpusim.model import CPU, MulticoreCPU
 from ..faults import TransientKernelError
-from ..faults.runtime import active_fire
 from ..gpusim.config import DeviceConfig, LaunchConfig
 from ..gpusim.device import Device, DeviceArray
 
@@ -52,19 +53,19 @@ _DEFAULT_STALL_BYTES = 1 << 20
 
 
 def _commit_gate(name: str, stall=None) -> None:
-    """Consult the ambient fault bundle before pricing a kernel.
+    """Consult the run scope's fault bundle before pricing a kernel.
 
     ``kernel-transient`` raises a retryable :class:`TransientKernelError`;
     ``clock-stall`` calls ``stall(nbytes)`` (when the backend provides
     one) to charge idle simulated time — timings skew, colors do not.
     """
-    spec = active_fire("kernel-transient", kernel=name)
+    spec = runscope.fire("kernel-transient", kernel=name)
     if spec is not None:
         raise TransientKernelError(
             f"injected transient failure in kernel {name!r}"
         )
     if stall is not None:
-        spec = active_fire("clock-stall", kernel=name)
+        spec = runscope.fire("clock-stall", kernel=name)
         if spec is not None:
             stall(int(spec.param) if spec.param else _DEFAULT_STALL_BYTES)
 
@@ -118,6 +119,8 @@ class Backend(Protocol):
     def mark(self) -> Mark: ...
 
     def timing_since(self, mark: Mark) -> TimingDelta: ...
+
+    def reset(self) -> None: ...
 
 
 class GpuSimBackend:
@@ -214,6 +217,14 @@ class GpuSimBackend:
         return self.device.tracer
 
     # -- accounting -----------------------------------------------------
+    def reset(self) -> None:
+        """Price on from a fresh device: empty timeline, launch counter 0.
+
+        Uploads and pooled buffers stay; only the accounting restarts.
+        """
+        self.device.reset()
+        self._host_cpu = None
+
     def mark(self) -> Mark:
         return Mark(events=len(self.device.timeline.events))
 
@@ -395,6 +406,11 @@ class CpuSimBackend:
         self.tracer = tracer
 
     # -- accounting -----------------------------------------------------
+    def reset(self) -> None:
+        """Drop the priced regions (each region prices alone)."""
+        self.cpu.reset()
+        self._host_cpu = None
+
     def mark(self) -> Mark:
         return Mark(cpu_events=len(self.cpu.events))
 
@@ -414,14 +430,13 @@ class CompiledSimBackend(GpuSimBackend):
     and pricing modules route their hot loop bodies (mex, the fused wave
     loop, conflict detection, worklist compaction, reuse-distance and
     trace-coalescing scans) through :mod:`repro.compiledsim`, which uses
-    numba ``@njit(cache=True)`` kernels when numba is importable, a
-    ctypes-bound C build otherwise, and falls back to the unchanged
-    NumPy paths (one-time warning) when neither toolchain exists.
+    a ctypes-bound C build and falls back to the unchanged NumPy paths
+    (one-time warning) when no C compiler exists.
 
     Parameters are :class:`GpuSimBackend`'s plus ``jit=``:
-    ``'auto'`` (default tiering), ``'numba'`` / ``'cc'`` (require that
-    tier, raise :class:`~repro.compiledsim.CompiledTierError` if
-    missing), ``'numpy'`` (explicit silent fallback).
+    ``'auto'`` (default tiering), ``'cc'`` (require the C tier, raise
+    :class:`~repro.compiledsim.CompiledTierError` if missing),
+    ``'numpy'`` (explicit silent fallback).
     """
 
     name = "compiled"
@@ -449,8 +464,9 @@ class CompiledSimBackend(GpuSimBackend):
         """Context manager activating compiled dispatch for one run.
 
         The round loop wraps each run's whole dynamic extent in this, so
-        every kernel and pricing call the run makes sees the compiled
-        engine flag (the ``_MEX_STRATEGY`` scoping idiom).
+        every kernel and pricing call the run makes, on this thread and
+        in ``commit_pair``'s pricing thread, sees the compiled tier in
+        the run scope (:mod:`repro.runscope`).
         """
         from ..compiledsim import dispatch
 

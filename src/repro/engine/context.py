@@ -16,12 +16,10 @@ benchmark suite do:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
+from .. import runscope
 from ..faults import FaultInjected, resolve_robustness
-from ..faults import runtime as fault_runtime
 from ..obs.observe import reject_recorder_keyword, resolve_observe
-from ..resilience.deadline import activate_control, resolve_control
+from ..resilience.deadline import resolve_control
 from .backend import resolve_backend
 from .errors import AuditError, ConvergenceError, InvariantViolation
 from .runner import MAX_ITERATIONS, RoundLoop, SchemeRecipe
@@ -99,57 +97,30 @@ class ExecutionContext:
         if self.observation.tracer is not None:
             self.backend.attach_tracer(self.observation.tracer)
         self.robustness = resolve_robustness(faults, health)
-        if (
-            self.robustness is not None
-            and self.robustness.log.tracer is None
-        ):
-            self.robustness.log.tracer = self.observation.tracer
         self.control = resolve_control(deadline_ms)
         self.loop = RoundLoop(
             max_iterations=max_iterations,
             recorder=self.observation.recorder,
             tracer=self.observation.tracer,
-            robustness=self.robustness,
-            control=self.control,
         )
         self._uploads: dict[int, tuple] = {}
         self.uploads = 0  # graphs paying the HtoD burst
         self.upload_reuses = 0  # runs served from the cache
 
-    @contextmanager
-    def robustness_scope(self, robustness):
-        """Temporarily attach a robustness bundle to this context.
+    def _bundle_and_control(self):
+        """The robustness bundle and control one run gets.
 
-        Used by the batch schedulers, whose shared per-worker contexts are
-        built once but need a fresh injector per (job, attempt).
+        This context's own, or its caller's run scope's (see
+        :mod:`repro.runscope`) where the context has none: a scheduler's
+        shared per-worker context is built once and runs each (job,
+        attempt) under that job's scope.
         """
-        previous = self.robustness
-        self.robustness = robustness
-        self.loop.robustness = robustness
-        if robustness is not None and robustness.log.tracer is None:
-            robustness.log.tracer = self.observation.tracer
-        try:
-            yield self
-        finally:
-            self.robustness = previous
-            self.loop.robustness = previous
-
-    @contextmanager
-    def control_scope(self, control):
-        """Temporarily attach a :class:`RunControl` (deadline + cancel).
-
-        Used by the batch schedulers: worker processes rebuild a fresh
-        control per job from the remaining budget shipped in the payload
-        and pin it on their long-lived shared context for that one run.
-        """
-        previous = self.control
-        self.control = control
-        self.loop.control = control
-        try:
-            yield self
-        finally:
-            self.control = previous
-            self.loop.control = previous
+        ambient = runscope.current()
+        return (
+            self.robustness if self.robustness is not None
+            else ambient.robustness,
+            self.control if self.control is not None else ambient.control,
+        )
 
     @property
     def recorder(self):
@@ -197,9 +168,9 @@ class ExecutionContext:
     def run_recipe(self, graph, recipe: SchemeRecipe):
         """Run a prepared recipe against this context's cached state.
 
-        The context's robustness bundle (if any) is ambient for the run,
-        so injection/degradation sites deep in the kernels see it.  Guard
-        failures raise here; the rerun degradation chain lives in
+        The run's robustness bundle and control are in the run scope for
+        the run, so injection/degradation sites deep in the kernels see
+        them.  Guard failures raise here; the rerun degradation chain lives in
         :meth:`run`, which can rebuild the recipe.
         """
         bufs = self.buffers_for(graph)
@@ -207,8 +178,10 @@ class ExecutionContext:
         pool_mark = (
             (pool.pool_hits, pool.pool_misses) if pool is not None else None
         )
-        with fault_runtime.activate(self.robustness), \
-                activate_control(self.control):
+        rb, control = self._bundle_and_control()
+        if rb is not None and rb.log.tracer is None:
+            rb.log.tracer = self.observation.tracer
+        with runscope.scope(robustness=rb, control=control):
             result = self.loop.run(self.backend, graph, recipe, bufs)
         if self.tracer is not None and pool_mark is not None:
             self.tracer.event(
@@ -236,7 +209,7 @@ class ExecutionContext:
         (``'bitmask'``, ``'bitmask:N'``, or ``'sort'``); results are
         byte-identical either way, only wall-clock speed differs.
 
-        When a robustness bundle with ``degrade=True`` is attached, a run
+        When a robustness bundle with ``degrade=True`` is in scope, a run
         rejected by the guard rails (or killed by an injected fault) is
         degraded to a fresh rerun — cached buffers evicted, new recipe —
         up to ``policy.max_reruns`` times.  The simulation is
@@ -247,7 +220,7 @@ class ExecutionContext:
         from ..coloring.base import ColoringError
         from ..coloring.kernels import mex_strategy
 
-        rb = self.robustness
+        rb = self._bundle_and_control()[0]
         reruns_left = (
             rb.policy.max_reruns if rb is not None and rb.policy.degrade else 0
         )

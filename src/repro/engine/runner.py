@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..resilience.deadline import DeadlineExceeded, active_control
+from .. import runscope
+from ..resilience.deadline import DeadlineExceeded
 from .backend import Backend
 from .errors import AuditError, ConvergenceError, InvariantViolation
 
@@ -132,27 +133,29 @@ class SchemeRecipe:
 class RoundLoop:
     """Drives a recipe to convergence on a backend (see module docstring).
 
-    When a :class:`~repro.faults.Robustness` bundle is attached, the loop
-    additionally enforces the bundle's :class:`~repro.faults.HealthPolicy`
-    guard rails — the no-progress livelock watchdog, post-round invariant
-    checks (colored-set monotonicity, worklist-size sanity), and the
-    end-of-run coloring audit — and consults the bundle's fault injector
-    at the ``buffer-bitflip`` / ``result-corrupt`` sites.  With no bundle
-    attached none of this costs anything.
+    The run's :class:`~repro.faults.Robustness` bundle and
+    :class:`~repro.resilience.RunControl` come from the run scope
+    (:mod:`repro.runscope`), which ``ExecutionContext`` installs.  With a
+    bundle in scope the loop additionally enforces the bundle's
+    :class:`~repro.faults.HealthPolicy` guard rails — the no-progress
+    livelock watchdog, post-round invariant checks (colored-set
+    monotonicity, worklist-size sanity), and the end-of-run coloring
+    audit — and consults the bundle's fault injector at the
+    ``buffer-bitflip`` / ``result-corrupt`` sites; with a control in
+    scope it checks the deadline at every round boundary.  With neither
+    none of this costs anything.
     """
 
     max_iterations: int = MAX_ITERATIONS
     recorder: object | None = None  # metrics.Recorder, duck-typed
     tracer: object | None = None  # obs.Tracer, duck-typed
-    robustness: object | None = None  # faults.Robustness, duck-typed
-    control: object | None = None  # resilience.RunControl, duck-typed
 
     def run(self, ex: Backend, graph, recipe: SchemeRecipe, bufs):
         """Execute ``recipe`` on ``graph``; returns a ``ColoringResult``.
 
         Backends exposing ``functional_scope()`` (the compiled backend)
         get it entered around the whole run, so every kernel *and*
-        pricing call in the dynamic extent sees the engine flag.
+        pricing call in the dynamic extent sees the compiled tier.
         """
         scope = getattr(ex, "functional_scope", None)
         if scope is None:
@@ -164,7 +167,8 @@ class RoundLoop:
         from ..coloring.base import ColoringResult
 
         tracer = self.tracer
-        rb = self.robustness
+        ambient = runscope.current()
+        rb, control = ambient.robustness, ambient.control
         policy = rb.policy if rb is not None else None
         max_iterations = self.max_iterations
         if policy is not None and policy.max_iterations is not None:
@@ -192,8 +196,6 @@ class RoundLoop:
             recipe.scratch = KernelScratch()
             last_uncolored: int | None = None
             stalled = 0
-            control = self.control if self.control is not None \
-                else active_control()
             try:
                 while recipe.has_work():
                     if iterations >= max_iterations:

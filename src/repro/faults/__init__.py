@@ -17,7 +17,20 @@ from .injector import (
 )
 from .plan import SITES, FaultPlan, FaultSpec, resolve_faults
 from .robustness import Robustness, resolve_robustness
-from .runtime import activate, active_fire, get_active, note_degradation
+from .. import runscope as _runscope
+from ..runscope import fire as active_fire
+from ..runscope import note_degradation
+
+
+def activate(robustness: Robustness | None):
+    """Install ``robustness`` as the run scope's bundle for the block."""
+    return _runscope.scope(robustness=robustness)
+
+
+def get_active() -> Robustness | None:
+    """The run scope's bundle, if any."""
+    return _runscope.current().robustness
+
 
 __all__ = [
     "SITES",

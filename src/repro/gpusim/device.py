@@ -16,6 +16,7 @@ Algorithms use the device like a thin CUDA runtime:
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -295,12 +296,17 @@ class Device:
         order from the launch counter, and the timeline/tracer events are
         appended in order after both prices land.  The host-side win is
         overlapping the two sort/scan-heavy pricing passes (NumPy releases
-        the GIL in the kernels that dominate them).
+        the GIL in the kernels that dominate them).  The second pass runs
+        in a copy of the caller's context, so it sees the same run scope
+        (e.g. the compiled tier) as the first.
         """
         seed0 = self.seed + self._launch_counter
         if (os.cpu_count() or 1) > 1:
             with ThreadPoolExecutor(max_workers=1) as pool:
-                future = pool.submit(self._price, second, seed0 + 1)
+                future = pool.submit(
+                    contextvars.copy_context().run,
+                    self._price, second, seed0 + 1,
+                )
                 profile_a = self._price(first, seed0)
                 profile_b = future.result()
         else:  # single-core host: overlap buys nothing, skip the thread hop

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..coloring.base import COLOR_DTYPE, ColoringResult
 from ..coloring.registry import ENGINE_KEYWORDS, SCHEMES
-from ..faults.runtime import note_degradation
+from ..runscope import note_degradation
 
 __all__ = [
     "ResultCache",

@@ -59,6 +59,7 @@ when the batch's health policy allows it.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import time
@@ -73,14 +74,13 @@ from ..faults import (
     Robustness,
     resolve_robustness,
 )
-from ..faults import runtime as _fault_runtime
+from .. import runscope
 from ..obs.observe import resolve_observe
 from ..resilience.breaker import BACKOFF_CAP_S, RetryPolicy
 from ..resilience.deadline import (
     Cancelled,
     DeadlineExceeded,
     RunControl,
-    activate_control,
     resolve_control,
 )
 from .cache import job_cache_key, resolve_cache
@@ -128,14 +128,12 @@ def _run_one(ctx_map: dict, job: ColorJob, backend, backend_opts: dict,
     Untraced device jobs share the ``ctx_map`` ExecutionContext (upload
     caching, pooled buffers); observed jobs get an ephemeral context with
     a job-local tracer/recorder whose contents the coordinator merges.
-    ``robustness`` (if any) is scoped onto the context for the run, so
-    the engine-level injection sites and guard rails see it.
+    ``robustness`` and ``control`` are the job's run scope (see
+    :mod:`repro.runscope`), so the engine-level injection sites, guard
+    rails and deadline checks see them and nothing else.
     """
-    from contextlib import nullcontext
-
     from ..coloring.api import ENGINE_RECIPES, color_graph
     from ..engine.context import ExecutionContext
-    from ..faults import runtime as fault_runtime
     from ..metrics.recorder import Recorder
     from ..obs.observe import Observation
     from ..obs.tracer import Tracer
@@ -143,44 +141,34 @@ def _run_one(ctx_map: dict, job: ColorJob, backend, backend_opts: dict,
     tracer = Tracer() if want_trace else None
     recorder = Recorder() if want_rounds else None
     observed = tracer is not None or recorder is not None
-    if job.method in ENGINE_RECIPES:
-        if observed:
-            ctx = ExecutionContext(
-                backend=backend,
-                observe=Observation(tracer=tracer, recorder=recorder),
-                **dict(backend_opts or {}),
-            )
-        else:
-            ctx = ctx_map.get("ctx")
-            if ctx is None:
-                ctx = ctx_map["ctx"] = ExecutionContext(
-                    backend=backend, **dict(backend_opts or {})
+    with runscope.scope(robustness=robustness, control=control):
+        if job.method in ENGINE_RECIPES:
+            if observed:
+                ctx = ExecutionContext(
+                    backend=backend,
+                    observe=Observation(tracer=tracer, recorder=recorder),
+                    **dict(backend_opts or {}),
                 )
-            # Price as on a fresh device: the launch-counter seed restarts,
-            # and dropping the last job's timeline keeps a kept worker's
-            # memory flat.  Uploads and pooled buffers stay cached.
-            device = getattr(ctx.backend, "device", None)
-            if device is not None:
-                device.reset()
-        scope = (
-            ctx.robustness_scope(robustness)
-            if robustness is not None
-            else nullcontext()
-        )
-        cscope = (
-            ctx.control_scope(control)
-            if control is not None
-            else nullcontext()
-        )
-        with scope, cscope:
+            else:
+                ctx = ctx_map.get("ctx")
+                if ctx is None:
+                    ctx = ctx_map["ctx"] = ExecutionContext(
+                        backend=backend, **dict(backend_opts or {})
+                    )
+                # Price as on a fresh substrate: the launch-counter seed
+                # restarts, and dropping the last job's events keeps a kept
+                # worker's memory flat.  Uploads and pooled buffers stay cached.
+                ctx.backend.reset()
             result = ctx.run(
                 job.graph, job.method, validate=validate, **job.options
             )
-    else:
-        # Host-side schemes take no backend; in a batch the backend applies
-        # to the device jobs only.
-        observe = Observation(tracer=tracer, recorder=recorder) if observed else None
-        with fault_runtime.activate(robustness), activate_control(control):
+        else:
+            # Host-side schemes take no backend; in a batch the backend applies
+            # to the device jobs only.
+            observe = (
+                Observation(tracer=tracer, recorder=recorder)
+                if observed else None
+            )
             result = color_graph(
                 job.graph, job.method, validate=validate, observe=observe,
                 **job.options
@@ -293,6 +281,16 @@ def _resolve_job_graph(job: ColorJob):
 
 
 def _worker_run(payload):
+    """Run one job in a worker, from an empty run scope.
+
+    A forked worker starts with a copy of its parent's context; running
+    each job in a fresh one keeps the parent's scope (and any earlier
+    job's) out of it.  See :func:`_worker_job` for the payload.
+    """
+    return contextvars.Context().run(_worker_job, payload)
+
+
+def _worker_job(payload):
     """Run one job in a worker.  Payload:
     ``(index, job, validate, want_trace, want_rounds, attempt, plan,
     policy, directive, budget)`` — attempt through directive are the
@@ -846,13 +844,13 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
                     cache_obj.corrupt_disk_entry(keys[index])
         results[index] = result
 
-    # Ambient for the coordinator-side work too, so cache quarantines
+    # In scope for the coordinator-side work too, so cache quarantines
     # found during the lookup scan land in the batch degradation log.
     # The finally leg retires a batch-scoped store: shm segments unlink
     # (crash-safe — the atexit sweep covers even a skipped finally), mmap
     # temp containers delete.  Worker mappings don't pin the unlink.
     try:
-        with _fault_runtime.activate(robustness):
+        with runscope.scope(robustness=robustness):
             to_run: list[int] = []
             for i, job in enumerate(jobs):
                 if cache_obj is not None:

@@ -14,17 +14,21 @@ overruns finishes, then the next boundary raises the structured
 ``running_ms`` / ``where``) so SLO dashboards can separate "sat in the
 queue too long" from "the run itself was slow".
 
-The ambient helpers (``activate_control`` / ``control_check``) mirror
-:mod:`repro.faults.runtime`: a plain module global, installed by
-``ExecutionContext`` for the duration of a run, consulted by call sites
-that deliberately know nothing about the engine.
+The ambient helpers (``activate_control`` / ``active_control`` /
+``control_check``) read and write the ``control`` field of the run
+scope (:mod:`repro.runscope`), which ``ExecutionContext`` installs for
+the duration of a run; call sites that know nothing about the engine
+consult it there.  The scope is per thread of control, so a deadline
+bound to one run never reaches a run on another thread.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+
+from .. import runscope
+from ..runscope import control_check
 
 __all__ = [
     "DeadlineExceeded",
@@ -232,26 +236,11 @@ def resolve_control(deadline_ms=None, *, queued_ms: float = 0.0,
     return RunControl(deadline=deadline, token=token)
 
 
-_ACTIVE: RunControl | None = None
-
-
-@contextmanager
 def activate_control(control: RunControl | None):
-    """Install ``control`` as the ambient run control for the block."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = control
-    try:
-        yield control
-    finally:
-        _ACTIVE = previous
+    """Install ``control`` as the run scope's control for the block."""
+    return runscope.scope(control=control)
 
 
 def active_control() -> RunControl | None:
-    return _ACTIVE
-
-
-def control_check(where: str = "round") -> None:
-    """No-op-when-inactive deadline/cancel check for deep call sites."""
-    if _ACTIVE is not None:
-        _ACTIVE.check(where)
+    """The run scope's control, if any."""
+    return runscope.current().control

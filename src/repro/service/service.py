@@ -534,30 +534,27 @@ class ColoringService:
         return 0 if result.cache_hit else 1
 
     def _execute(self, jobs, validate: bool, control: RunControl | None = None):
-        """The engine batch (worker thread; the only engine entry point)."""
-        from ..coloring.kernels import mex_strategy
+        """The engine batch (worker thread; the only engine entry point).
+
+        ``mex`` travels as a job option, so pool workers honor it too.
+        """
         from ..engine.context import color_many
 
         cfg = self.config
-
-        def run():
-            return color_many(
-                jobs,
-                self.method,
-                backend=cfg.backend,
-                backend_opts=cfg.backend_opts,
-                scheduler=self._scheduler,
-                cache=self._cache,
-                store=self._store,
-                faults=self._robustness,
-                validate=validate,
-                deadline_ms=control,
-            )
-
-        if cfg.mex is not None:
-            with mex_strategy(cfg.mex):
-                return run()
-        return run()
+        options = {} if cfg.mex is None else {"mex": cfg.mex}
+        return color_many(
+            jobs,
+            self.method,
+            backend=cfg.backend,
+            backend_opts=cfg.backend_opts,
+            scheduler=self._scheduler,
+            cache=self._cache,
+            store=self._store,
+            faults=self._robustness,
+            validate=validate,
+            deadline_ms=control,
+            **options,
+        )
 
     # -- sessions --------------------------------------------------------
     async def session(

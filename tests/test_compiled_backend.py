@@ -2,8 +2,8 @@
 
 The compiled backend's contract is *wall-clock only*: colors, iteration
 counts, and every simulated timing figure must be byte-identical to the
-``gpusim`` reference no matter which JIT tier (numba / C / NumPy
-fallback) ends up executing the loop bodies.  These tests hold it to
+``gpusim`` reference no matter which tier (C / NumPy fallback) ends up
+executing the loop bodies.  These tests hold it to
 that, and cover the unified ``config=`` surface the backend ships with.
 """
 
@@ -102,7 +102,7 @@ def test_compiled_backend_instance_and_registry(medium):
     backend = resolve_backend("compiled")
     assert isinstance(backend, CompiledSimBackend)
     assert backend.name == "compiled"
-    assert backend.tier in ("numba", "cc", "numpy")
+    assert backend.tier in ("cc", "numpy")
     res = color_graph(medium, "data-ldg", backend=backend)
     _assert_identical(color_graph(medium, "data-ldg"), res)
 
@@ -145,7 +145,7 @@ def reset_tiers(monkeypatch):
 
 
 def test_fallback_warns_once_with_identical_results(medium, reset_tiers):
-    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "numba,cc")
+    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "cc")
     ref = color_graph(medium, "data-ldg")
     with pytest.warns(RuntimeWarning, match="falling back to the pure-NumPy"):
         res = color_graph(medium, "data-ldg", backend="compiled")
@@ -158,7 +158,7 @@ def test_fallback_warns_once_with_identical_results(medium, reset_tiers):
 
 
 def test_disabled_tiers_resolve_to_numpy(reset_tiers):
-    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "numba,cc")
+    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "cc")
     with pytest.warns(RuntimeWarning):
         tier = compiledsim.warmup()
     assert tier == "numpy"
@@ -166,7 +166,7 @@ def test_disabled_tiers_resolve_to_numpy(reset_tiers):
 
 
 def test_explicit_tier_unavailable_raises(reset_tiers):
-    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "numba,cc")
+    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "cc")
     with pytest.raises(CompiledTierError, match="jit='cc'"):
         CompiledSimBackend(jit="cc")
 
@@ -187,9 +187,14 @@ def test_unknown_jit_tier_rejected():
         CompiledSimBackend(jit="fastest")
 
 
+def test_removed_numba_tier_is_an_unknown_tier():
+    with pytest.raises(ValueError, match="unknown jit tier 'numba'"):
+        CompiledSimBackend(jit="numba")
+
+
 def test_warmup_resolves_and_reports_a_real_tier():
     tier = compiledsim.warmup()
-    assert tier in ("numba", "cc", "numpy")
+    assert tier in ("cc", "numpy")
     assert runtime.current_tier() == tier
 
 

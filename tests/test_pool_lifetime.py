@@ -86,6 +86,28 @@ def test_pooled_jobs_price_as_on_fresh_device(g0, g1, g1_us, method):
             assert [r.total_time_us for r in results[1::2]] == [g1_us, g1_us]
 
 
+def test_kept_cpusim_context_keeps_one_jobs_events(g0):
+    """The job boundary resets a cpusim context too: a kept worker's
+    multicore model holds one job's priced regions, not every job's."""
+    ctx_map: dict = {}
+    job = ColorJob(g0, "data-ldg", {})
+    times = ("gpu_time_us", "cpu_time_us", "transfer_time_us", "total_time_us")
+
+    def run():
+        result = scheduler_mod._run_one(
+            ctx_map, job, "cpusim", {}, True, False, False
+        )[0]
+        return result, len(ctx_map["ctx"].backend.cpu.events)
+
+    first, events = run()
+    assert events > 0
+    for _ in range(49):
+        result, retained = run()
+        assert retained == events
+        assert [getattr(result, f) for f in times] == \
+            [getattr(first, f) for f in times]
+
+
 def test_sharded_shard_times_identical_serial_and_pooled():
     g = rmat_g(scale=12, edge_factor=8, seed=21)
     serial = color_sharded(g, "data-ldg", num_shards=4, workers=None)
