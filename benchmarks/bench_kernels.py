@@ -23,12 +23,16 @@ Profiles::
 
 Results are stored in ``BENCH_kernels.json`` under a *record key* per
 profile: ``pre_pr`` (the kernels before the bitmask-mex/expansion-plan
-overhaul — measured once, never regenerated) and ``current`` (the tracked
-baseline; refresh with ``--update current`` on the machine class noted in
-the file's ``meta``).  ``--check`` compares wall times against the
-committed ``current`` record with a generous threshold (CI machines vary)
-and compares simulated time / iterations / colors exactly (those are
-functional, machine-independent).
+overhaul — measured once, never regenerated), ``current`` (the tracked
+NumPy-tier baseline; refresh with ``REPRO_COMPILED_DISABLE=cc ...
+--update current`` on the machine class noted in the file's ``meta``)
+and ``compiled`` (the same cells on the C tier, which is how the default
+backend runs; refresh with ``--update compiled``).  ``--check`` compares
+wall times against the record for the tier the run used (``current``
+under ``REPRO_COMPILED_DISABLE=cc``, ``compiled`` otherwise) with a
+generous threshold (CI machines vary), and compares simulated time /
+iterations / colors exactly with ``current`` (those are functional,
+machine-independent, and identical on both tiers).
 """
 
 from __future__ import annotations
@@ -140,13 +144,12 @@ def run_end_to_end(cells, scale_div: int, repeat: int, backend=None) -> dict:
 
 
 def run_profile(profile: str, repeat: int, backend=None) -> dict:
-    if backend == "compiled":
-        # Pay the one-time JIT load/compile outside the timed region —
-        # it is machine state, not per-run cost (workers warm up the
-        # same way via the pool initializer).
-        from repro import compiledsim
+    # Pay the one-time kernel-tier load/compile outside the timed region —
+    # it is machine state, not per-run cost (workers warm up the same way
+    # via the pool initializer).
+    from repro import compiledsim
 
-        compiledsim.warmup()
+    compiledsim.warmup()
     if profile == "quick":
         out = {
             "scale_div": QUICK_SCALE_DIV,
@@ -172,16 +175,24 @@ def load_baseline() -> dict:
     return {"meta": {}}
 
 
+def _gate_record_key() -> str:
+    """The record a wall-clock gate compares with: the tier this run used."""
+    from repro import compiledsim
+
+    return "compiled" if compiledsim.current_tier() == "cc" else "current"
+
+
 def print_results(profile: str, results: dict, baseline: dict) -> None:
     stored = baseline.get(profile, {})
+    own = None if results.get("backend") is not None else _gate_record_key()
     for tier in ("micro", "end_to_end"):
         print(f"[{profile}/{tier}]")
         for key, val in results[tier].items():
             wall = val if tier == "micro" else val["wall_s"]
             line = f"  {key:<28} {wall * 1e3:>10.2f} ms"
             for record_key in ("pre_pr", "current"):
-                if results.get("backend") is None and record_key == "current":
-                    continue  # a plain run *is* the current baseline's twin
+                if record_key == own:
+                    continue  # a plain run *is* its own record's twin
                 ref = stored.get(record_key, {}).get(tier, {}).get(key)
                 if ref is not None:
                     ref_wall = ref if tier == "micro" else ref["wall_s"]
@@ -191,14 +202,24 @@ def print_results(profile: str, results: dict, baseline: dict) -> None:
 
 
 def check(profile: str, results: dict, baseline: dict, threshold: float) -> int:
-    """Gate the run against the committed ``current`` record."""
-    record = baseline.get(profile, {}).get("current")
-    if record is None:
-        print(f"no committed '{profile}/current' record; run --update current")
-        return 1
+    """Gate the run against the committed record for the tier it ran on.
+
+    Wall times gate against ``current`` when the run used the NumPy tier
+    and against ``compiled`` when it used the C tier.  The functional
+    fields must equal ``current`` exactly on either tier — the
+    byte-identity contract between the two.
+    """
+    record_key = _gate_record_key()
+    stored = baseline.get(profile, {})
+    truth = stored.get("current")
+    record = stored.get(record_key)
+    for key, rec in (("current", truth), (record_key, record)):
+        if rec is None:
+            print(f"no committed '{profile}/{key}' record; run --update {key}")
+            return 1
     failures = []
     for key, val in results["end_to_end"].items():
-        ref = record["end_to_end"].get(key)
+        ref = truth["end_to_end"].get(key)
         if ref is None:
             failures.append(f"{key}: no baseline entry")
             continue
@@ -207,9 +228,12 @@ def check(profile: str, results: dict, baseline: dict, threshold: float) -> int:
                 failures.append(
                     f"{key}: {exact} {ref[exact]} -> {val[exact]} (functional drift)"
                 )
-        if val["wall_s"] > ref["wall_s"] * threshold:
+        wall_ref = record["end_to_end"].get(key)
+        if wall_ref is None:
+            failures.append(f"{key}: no '{record_key}' entry")
+        elif val["wall_s"] > wall_ref["wall_s"] * threshold:
             failures.append(
-                f"{key}: wall {ref['wall_s']:.3f}s -> {val['wall_s']:.3f}s "
+                f"{key}: wall {wall_ref['wall_s']:.3f}s -> {val['wall_s']:.3f}s "
                 f"(> {threshold:.1f}x)"
             )
     for key, wall in results["micro"].items():
@@ -226,59 +250,17 @@ def check(profile: str, results: dict, baseline: dict, threshold: float) -> int:
                 f"micro {key}: {ref * 1e3:.2f}ms -> {wall * 1e3:.2f}ms "
                 f"(> {threshold:.1f}x)"
             )
-    compiled_ref = baseline.get(profile, {}).get("compiled")
-    if compiled_ref is not None:
-        failures += _check_compiled(profile, record, compiled_ref, threshold)
     if failures:
         print(f"kernel benchmark gate FAILED ({len(failures)}):")
         for f in failures:
             print(f"  {f}")
         return 1
     cells = len(results["end_to_end"])
-    legs = "" if compiled_ref is None else " (+ compiled backend leg)"
     print(
         f"kernel benchmark gate passed: {cells} cells "
-        f"within {threshold:.1f}x of baseline{legs}"
+        f"within {threshold:.1f}x of the '{record_key}' record"
     )
     return 0
-
-
-def _check_compiled(
-    profile: str, current: dict, compiled_ref: dict, threshold: float
-) -> list:
-    """Gate the ``backend='compiled'`` leg.
-
-    Functional fields must equal the *current* (NumPy) record exactly —
-    that is the byte-identity contract the compiled backend ships under —
-    and wall time gates against the committed *compiled* record.
-    """
-    scale_div = compiled_ref.get(
-        "scale_div", QUICK_SCALE_DIV if profile == "quick" else FULL_SCALE_DIV
-    )
-    cells = tuple(
-        tuple(key.split("/", 1)) for key in compiled_ref["end_to_end"]
-    )
-    from repro import compiledsim
-
-    compiledsim.warmup()
-    run = run_end_to_end(cells, scale_div, 1, backend="compiled")
-    failures = []
-    for key, val in run.items():
-        truth = current["end_to_end"].get(key)
-        for exact in ("sim_us", "iterations", "num_colors"):
-            if truth is not None and val[exact] != truth[exact]:
-                failures.append(
-                    f"compiled {key}: {exact} {truth[exact]} -> {val[exact]} "
-                    f"(diverged from the NumPy baseline — byte-identity "
-                    f"contract broken)"
-                )
-        ref = compiled_ref["end_to_end"].get(key)
-        if ref is not None and val["wall_s"] > ref["wall_s"] * threshold:
-            failures.append(
-                f"compiled {key}: wall {ref['wall_s']:.3f}s -> "
-                f"{val['wall_s']:.3f}s (> {threshold:.1f}x)"
-            )
-    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -293,13 +275,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="store results under this record key "
                              "(e.g. 'current', 'pre_pr')")
     parser.add_argument("--check", action="store_true",
-                        help="gate against the committed 'current' record")
+                        help="gate against the committed record for the "
+                             "tier this run used")
     parser.add_argument("--threshold", type=float, default=2.0,
                         help="wall-clock regression threshold (default 2.0)")
     parser.add_argument("--backend", default=None,
-                        choices=("gpusim", "cpusim", "compiled"),
+                        choices=("gpusim", "cpusim"),
                         help="run the end-to-end cells on this backend "
-                             "(e.g. 'compiled'; default: the library default)")
+                             "(default: the library default, gpusim)")
     parser.add_argument("--out", type=Path,
                         help="also write this run's results to a JSON file")
     args = parser.parse_args(argv)
@@ -324,8 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         baseline["meta"]["note"] = (
             "wall-clock records; 'pre_pr' is the kernel layer before the "
             "bitmask-mex/expansion-plan overhaul (historical, do not "
-            "regenerate), 'current' is the tracked NumPy baseline, "
-            "'compiled' is backend='compiled' on the same cells (same "
+            "regenerate), 'current' is the tracked NumPy-tier baseline "
+            "(record it with REPRO_COMPILED_DISABLE=cc), 'compiled' is the "
+            "default backend on the C tier over the same cells (same "
             "repeat/scale methodology; functional fields must equal "
             "'current' exactly — the byte-identity contract)"
         )

@@ -30,6 +30,14 @@ __all__ = ["main", "resolve_graph"]
 #: Suffixes parsed as whitespace-separated edge lists.
 _EDGELIST_SUFFIXES = (".el", ".txt", ".edges", ".edgelist", ".tsv")
 
+#: ``--backend`` values; ``compiled`` is the deprecated alias of ``gpusim``.
+_BACKEND_CHOICES = ("gpusim", "cpusim", "compiled")
+_BACKEND_HELP = (
+    "execution substrate for device schemes (default: gpusim, which runs "
+    "the compiled C kernel tier when it builds; 'compiled' is a "
+    "deprecated alias of gpusim)"
+)
+
 
 def _parse_faults(text):
     """Validate a ``--faults`` plan up front: bad grammar is a usage
@@ -761,8 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="data-ldg", type=_method_arg, metavar="METHOD")
     p.add_argument("--block-size", type=int, default=128)
     p.add_argument(
-        "--backend", default="gpusim", choices=("gpusim", "cpusim", "compiled"),
-        help="execution substrate for device schemes (default: gpusim)",
+        "--backend", default="gpusim", choices=_BACKEND_CHOICES, help=_BACKEND_HELP,
     )
     p.add_argument(
         "--observe", default=None, choices=("trace", "profile", "rounds"),
@@ -857,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: <graph>-<method>-trace.json)")
     p.add_argument("--jsonl", default=None, help="also write a flat JSONL event log")
     p.add_argument("--block-size", type=int, default=128)
-    p.add_argument("--backend", default="gpusim", choices=("gpusim", "cpusim", "compiled"))
+    p.add_argument("--backend", default="gpusim", choices=_BACKEND_CHOICES, help=_BACKEND_HELP)
     p.add_argument("--top", type=int, default=None,
                    help="show only the N hottest rows in the flame summary")
     p.set_defaults(fn=_cmd_trace)
@@ -870,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True, nargs="+")
     p.add_argument("--method", default="data-ldg", type=_engine_method_arg, metavar="METHOD")
     p.add_argument("--block-size", type=int, default=128)
-    p.add_argument("--backend", default="gpusim", choices=("gpusim", "cpusim", "compiled"))
+    p.add_argument("--backend", default="gpusim", choices=_BACKEND_CHOICES, help=_BACKEND_HELP)
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="shard the batch across N worker processes "

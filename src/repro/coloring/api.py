@@ -154,13 +154,12 @@ def color_graph(
         only in tight benchmark loops that verify separately).
     backend:
         Execution substrate for device schemes: ``"gpusim"`` (default),
-        ``"cpusim"``, ``"compiled"`` (gpusim with JIT-compiled host
-        kernels — byte-identical results, faster wall-clock), or a
-        backend/device instance.  Host-side methods (``sequential``,
-        ``jp``, ...) reject it.
+        ``"cpusim"``, or a backend/device instance (``"compiled"`` is a
+        deprecated alias of ``"gpusim"``).  Host-side methods
+        (``sequential``, ``jp``, ...) reject it.
     backend_opts:
         Constructor keywords for a string ``backend=`` spec, e.g.
-        ``{"jit": "cc"}`` or ``{"cache_model": "hit_rate"}``.
+        ``{"seed": 1}`` or ``{"cache_model": "hit_rate"}``.
     context:
         A shared :class:`~repro.engine.context.ExecutionContext` — reuses
         cached graph uploads and pooled buffers across calls.
@@ -188,6 +187,8 @@ def color_graph(
         fallback limit, or ``'sort'`` for the historical sort-based
         kernel.  Results are byte-identical across strategies — only
         wall-clock speed differs — so ``mex`` never enters cache keys.
+        It steers the NumPy kernel tier only; on the C tier (the default
+        whenever it builds) it has no effect and warns once per process.
     faults:
         Fault-injection plan (see :mod:`repro.faults`): a
         :class:`~repro.faults.FaultPlan`, a plan spec string

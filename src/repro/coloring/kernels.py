@@ -23,12 +23,14 @@ hardware behavior either way.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import runscope
 from ..compiledsim import dispatch as _compiled
+from ..compiledsim.runtime import get_kernels
 from ..gpusim.device import DeviceArray
 from ..gpusim.trace import TraceBuilder
 from ..graph.csr import CSRGraph
@@ -306,15 +308,40 @@ def _parse_mex_strategy(spec) -> tuple[str, int]:
     )
 
 
+_warned_mex_ignored = False
+
+
+def _mex_option(spec) -> tuple[str, int]:
+    """Parse a mex-strategy setting; warn once if the C tier ignores it."""
+    global _warned_mex_ignored
+    parsed = _parse_mex_strategy(spec)
+    if not _warned_mex_ignored and get_kernels()[0] == "cc":
+        _warned_mex_ignored = True
+        warnings.warn(
+            "repro: the mex strategy steers only the NumPy reference tier; "
+            "the C kernel tier in use computes the exact mex in one pass "
+            "and ignores it (colors and timings are identical either way).",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return parsed
+
+
 def set_mex_strategy(spec) -> tuple[str, int]:
     """Set the calling context's mex strategy; returns the previous one."""
-    previous = runscope.update(mex=_parse_mex_strategy(spec)).mex
+    previous = runscope.update(mex=_mex_option(spec)).mex
     return previous or _DEFAULT_MEX
 
 
 def mex_strategy(spec):
-    """Scoped mex-strategy override (the engine's ``mex=`` option)."""
-    return runscope.scope(mex=_parse_mex_strategy(spec))
+    """Scoped mex-strategy override (the engine's ``mex=`` option).
+
+    It steers the NumPy tier only: on the C tier the sorted-segment mex
+    is one stamp-array pass with no word budget (see
+    :func:`min_excluded_colors`), so setting it there warns once per
+    process.
+    """
+    return runscope.scope(mex=_mex_option(spec))
 
 
 def _mex_sort(
@@ -425,10 +452,12 @@ def min_excluded_colors(
 ) -> np.ndarray:
     """Smallest positive color absent from each segment's neighbor colors.
 
-    Dispatches on the run scope's strategy (see :func:`mex_strategy` /
-    the engine's ``mex=`` option): ``bitmask`` (default) packs forbidden
-    colors into uint64 words and ORs them per segment; ``sort`` is the
-    historical dedup-sort formulation.  Both are exact and byte-identical.
+    On the C tier, sorted segments take the compiled stamp-array pass.
+    Otherwise it dispatches on the run scope's strategy (see
+    :func:`mex_strategy` / the engine's ``mex=`` option): ``bitmask``
+    (default) packs forbidden colors into uint64 words and ORs them per
+    segment; ``sort`` is the historical dedup-sort formulation.  All are
+    exact and byte-identical.
     ``assume_sorted`` lets callers whose ``seg_ids`` are sorted by
     construction (CSR expansions) skip the bitmask path's runtime check —
     it matters in the wave loop, which calls this once per 32-thread wave.
@@ -436,9 +465,9 @@ def min_excluded_colors(
     if num_segments == 0:
         return np.zeros(0, dtype=COLOR_DTYPE)
     if assume_sorted:
-        # Compiled engine active: one stamp-array pass, exact for any
-        # color range (no word-budget overflow, hence no mex degradation
-        # chain). Declines (None) on dtype mismatch or inactive scope.
+        # C tier: one stamp-array pass, exact for any color range (no
+        # word-budget overflow, hence no mex degradation chain).
+        # Declines (None) on dtype mismatch or on the NumPy tier.
         compiled = _compiled.mex_sorted(seg_ids, nbr_colors, num_segments)
         if compiled is not None:
             return compiled
@@ -530,14 +559,11 @@ def speculative_color_waved(
     seg = expansion.seg
     nbr = expansion.nbr32(graph)
     epos = np.searchsorted(seg, bounds)
-    if _compiled.active():
-        # Fused wave loop: same two-phase (snapshot reads, then commit)
-        # visibility per wave, one compiled pass for the whole round.
-        fused = _compiled.waved_color(
-            active_ids, seg, nbr, colors, bounds, epos
-        )
-        if fused is not None:
-            return fused
+    # Fused wave loop: same two-phase (snapshot reads, then commit)
+    # visibility per wave, one compiled pass for the whole round.
+    fused = _compiled.waved_color(active_ids, seg, nbr, colors, bounds, epos)
+    if fused is not None:
+        return fused
     out = np.empty(active_ids.size, dtype=COLOR_DTYPE)
     for i in range(bounds.size - 1):
         lo = int(bounds[i])
@@ -579,13 +605,12 @@ def detect_conflicts(
     seg = expansion.seg
     if expansion.edge_idx.size == 0:
         return np.empty(0, dtype=np.int64)
-    if _compiled.active():
-        loser8 = _compiled.detect_conflicts(
-            seg, expansion.nbr32(graph), colors,
-            None if expansion._full else scope_ids, scope_ids.size,
-        )
-        if loser8 is not None:
-            return scope_ids[loser8.view(bool)]
+    loser8 = _compiled.detect_conflicts(
+        seg, expansion.nbr32(graph), colors,
+        None if expansion._full else scope_ids, scope_ids.size,
+    )
+    if loser8 is not None:
+        return scope_ids[loser8.view(bool)]
     v = seg if expansion._full else scope_ids[seg]
     w = expansion.nbr64(graph)
     clash = (colors[v] == colors[w]) & (colors[v] > 0) & (v < w)

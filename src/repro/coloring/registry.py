@@ -53,11 +53,11 @@ class ExecutionOptions:
     """
 
     backend: Any = _opt(None, "execution substrate for device schemes: "
-                              "'gpusim' (default), 'cpusim', 'compiled' "
-                              "(JIT-accelerated gpusim, identical results), "
-                              "or an instance")
+                              "'gpusim' (default), 'cpusim', or an "
+                              "instance ('compiled' is a deprecated alias "
+                              "of 'gpusim')")
     backend_opts: Any = _opt(None, "constructor kwargs for a string "
-                                   "backend= spec (e.g. jit=, seed=, "
+                                   "backend= spec (e.g. seed=, "
                                    "cache_model=); rejected alongside a "
                                    "backend *instance*")
     config: Any = _opt(None, "a RunConfig bundling the options on this "
@@ -78,9 +78,10 @@ class ExecutionOptions:
                             "segments), 'mmap'/'mmap:<dir>' (on-disk "
                             "containers), or a GraphStore instance "
                             "(see docs/STORAGE.md)")
-    mex: Any = _opt(None, "forbidden-color kernel strategy: 'bitmask', "
-                          "'bitmask:N' (word limit), or 'sort' "
-                          "(results are identical; speed differs)")
+    mex: Any = _opt(None, "NumPy-tier forbidden-color kernel strategy: "
+                          "'bitmask', 'bitmask:N' (word limit), or 'sort' "
+                          "(results are identical; speed differs; the C "
+                          "tier ignores it and warns once)")
     faults: Any = _opt(None, "fault-injection plan: a FaultPlan, a plan "
                              "spec string ('seed=7; site: k=v, ...'), or a "
                              "Robustness bundle (see docs/ROBUSTNESS.md)")

@@ -3,8 +3,8 @@
 Builds :data:`repro.compiledsim.csrc.KERNELS_C` into a shared library
 with the system C compiler and binds it through :mod:`ctypes`.  The
 build is disk-cached: the library lands in a per-user cache directory
-keyed by a hash of the source (plus compiler identity), so a machine
-pays the ~1 s compile exactly once.
+keyed by a hash of the source (plus compiler identity and flags), so a
+machine pays the ~1 s compile exactly once.
 
 Everything here degrades by returning ``None``/raising into the tier
 probe in :mod:`repro.compiledsim.runtime`; no hard dependency on a
@@ -57,8 +57,9 @@ def _find_compiler() -> str | None:
 
 
 def _source_tag(compiler: str) -> str:
+    """Cache key of one build: source, compiler and its flags."""
     h = hashlib.sha256()
-    h.update(f"v{SOURCE_VERSION}:{compiler}:".encode())
+    h.update(f"v{SOURCE_VERSION}:{compiler}:{' '.join(_CFLAGS)}:".encode())
     h.update(KERNELS_C.encode())
     return h.hexdigest()[:16]
 

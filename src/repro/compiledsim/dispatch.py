@@ -1,23 +1,18 @@
-"""Call-site dispatch for the compiled engine.
+"""Call-site dispatch for the simulator's compiled kernels.
 
 The hot NumPy paths (kernels, trace builder, cache model) each ask this
 module "can you do this one?" at the top of their function.  Every hook
 returns a computed result **or ``None``** — ``None`` means "run your
-existing vectorized path", which keeps ``gpusim``/``cpusim`` behavior
-untouched byte-for-byte and lets the compiled tier decline anything it
-cannot prove exact (wrong dtype, non-contiguous input, unsorted
+existing vectorized path", which is the reference the compiled kernels
+are held to byte for byte, and lets the compiled tier decline anything
+it cannot prove exact (wrong dtype, non-contiguous input, unsorted
 stream).
 
-Activation is the ``kernels``/``tier`` pair of the run scope
-(:mod:`repro.runscope`): :func:`scope` installs it for the dynamic
-extent of a run, and :class:`~repro.engine.backend.CompiledSimBackend`
-wraps each round loop in it.  The scope is per thread of control, so a
-compiled run on one thread never reroutes a plain run on another;
-:meth:`~repro.gpusim.device.Device.commit_pair` copies its caller's
-context into the second pricing thread, so both pricing threads see
-the run's tier.  The scratch buffers and hash-table epochs are per
-thread as well: the C tier drops the GIL, so two pricing threads
-sharing one grow-only buffer would write through each other's pointers.
+The kernel table is the process's tier (:mod:`.runtime`), resolved
+lazily on the first hook call: on the NumPy tier every hook declines.
+The scratch buffers and hash-table epochs are per thread: the C tier
+drops the GIL, so two pricing threads (``Device.commit_pair``) sharing
+one grow-only buffer would write through each other's pointers.
 
 Only the *functional* halves are replaced.  Pricing — the trace
 descriptors charged per access — is emitted by the same unchanged code
@@ -27,22 +22,19 @@ either way, so simulated timings stay byte-identical.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
-from .. import runscope
-from . import runtime
-
-__all__ = ["scope", "active", "tier"]
+from .runtime import kernels
 
 
 class _ThreadScratch(threading.local):
     """One thread's scratch state (a fresh instance per thread)."""
 
     def __init__(self) -> None:
-        #: Persistent mex generation counter (stamp arrays never need
-        #: clearing; uint64 generations cannot realistically collide).
+        #: Persistent mex generation counter: a color is taken iff its
+        #: stamp equals the call's generation, so stamp arrays need
+        #: zeroing only when allocated (uint64 generations never wrap).
         self.gen = np.ones(1, dtype=np.uint64)
         #: Grow-only scratch arrays keyed by role.
         self.buffers: dict[str, np.ndarray] = {}
@@ -58,24 +50,6 @@ _TLS = _ThreadScratch()
 def _next_epoch() -> int:
     _TLS.epoch += 1
     return _TLS.epoch
-
-
-def active() -> bool:
-    """True while a compiled scope is active *and* a tier is loaded."""
-    return runscope.current().kernels is not None
-
-
-def tier() -> str | None:
-    """Tier name of the active scope (``'cc'``/``'numpy'``)."""
-    return runscope.current().tier
-
-
-@contextmanager
-def scope(jit: str = "auto"):
-    """Activate compiled dispatch for the dynamic extent of a run."""
-    tier_name, kernels = runtime.get_kernels(jit)
-    with runscope.scope(kernels=kernels, tier=tier_name):
-        yield tier_name
 
 
 def _scratch(name: str, size: int, dtype, zero: bool = False) -> np.ndarray:
@@ -103,9 +77,13 @@ def _table(name: str, size: int, zero: bool = False) -> np.ndarray:
     return buf[:size]
 
 
-def _stamp_for(max_run: int) -> np.ndarray:
-    """Generation-stamped mex scratch sized so truncation never bites."""
-    return _scratch("stamp", int(max_run) + 2, np.uint64)
+def _stamp_for(bound: int) -> np.ndarray:
+    """Generation-stamped mex scratch for mex values up to ``bound + 1``.
+
+    Zeroed on allocation: leftover heap words equal to a live generation
+    would read as "color taken".
+    """
+    return _scratch("stamp", int(bound) + 2, np.uint64, zero=True)
 
 
 def _c64(a: np.ndarray) -> bool:
@@ -129,15 +107,20 @@ def _table_size(n: int) -> int:
 # ----------------------------------------------------------------------
 def mex_sorted(seg_ids, nbr_colors, num_segments):
     """Sorted-segment mex; exact twin of the bitmask/sort NumPy paths."""
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if not (_c64(seg_ids) and _c32(nbr_colors)):
         return None
-    max_run = K["max_seg_run"](seg_ids)
+    n = nbr_colors.shape[0]
+    hi = int(nbr_colors.max()) if n else 0
+    if hi <= 0:  # every neighbor uncolored (a first round): mex is 1
+        return np.ones(int(num_segments), dtype=np.int32)
     out = np.empty(int(num_segments), dtype=np.int32)
+    # A mex is at most (largest color) + 1 and at most (run length) + 1,
+    # so a stamp array past min(hi, n) is never read.
     K["mex_sorted"](
-        seg_ids, nbr_colors, int(num_segments), out, _stamp_for(max_run),
+        seg_ids, nbr_colors, int(num_segments), out, _stamp_for(min(hi, n)),
         _TLS.gen,
     )
     return out
@@ -151,7 +134,7 @@ def waved_color(active_ids, seg, nbr, colors, bounds, epos):
     Writes ``colors`` in place and returns the per-position ``out``
     array, or ``None`` to decline.
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if not (
@@ -175,7 +158,7 @@ def detect_conflicts(seg, nbr, colors, scope_ids, num_scope):
     expansion).  Returns a uint8 mask of ``num_scope`` entries, or
     ``None`` to decline.
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if not (_c64(seg) and _c32(nbr) and _c32(colors)):
@@ -195,7 +178,7 @@ def detect_conflicts(seg, nbr, colors, scope_ids, num_scope):
 # ----------------------------------------------------------------------
 def pack_mask(mask):
     """``np.flatnonzero`` over a bool/uint8 mask, or ``None``."""
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if mask.dtype not in (np.bool_, np.uint8) or not mask.flags.c_contiguous:
@@ -217,7 +200,7 @@ def reuse_prev(line_ids):
     scatter and an elementwise compare, so emission order is free.
     ``None`` declines (unsupported dtype).
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if line_ids.dtype == np.int32 and line_ids.flags.c_contiguous:
@@ -243,7 +226,7 @@ def first_occurrences(key):
     Exactly ``np.unique(key, return_index=True)[1]`` — the contract of
     ``repro.gpusim.trace._first_occurrences``.  ``None`` declines.
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if not _c64(key):
@@ -277,7 +260,7 @@ def coalesce_first(warp, step_arr, line, max_warp, max_step, max_line):
     sort over the bitkey plus an adjacent-run scan selects the same
     indices in the same (key-sorted) order.  ``None`` declines.
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None or "first_occ3" not in K:
         return None
     if not (_c32(warp) and _c64(line)):
@@ -317,7 +300,7 @@ def issue_order3(wave, warp, step, max_wave, max_warp, max_step):
     unsupported dtypes or when the components' widths overflow the
     bitkey.
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if not _c32(wave):
@@ -359,7 +342,7 @@ def emit_coalesced(kind, warp, step_arr, line, sm, wave,
     path.  Returns the emitted count, or ``None`` to decline (caller
     falls back to the unfused path).
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None or "emit_coalesced" not in K:
         return None
     if not (_c32(warp) and _c32(sm) and _c32(wave) and _c64(line)):
@@ -404,7 +387,7 @@ def merge_order(wave, warp, step, seg_off, max_wave, max_warp, max_step):
     returned on any violation (or unsupported dtypes), falling back to
     the radix sort.
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None or "merge_order" not in K:
         return None
     if not (_c32(wave) and _c32(warp) and _c32(step)):
@@ -442,7 +425,7 @@ def walk_supported(order, kind, line, sm):
     fallback would leave the generator's stream diverged from the
     reference path's.
     """
-    K = runscope.current().kernels
+    K = kernels()
     return (
         K is not None
         and "walk_stats" in K
@@ -461,7 +444,7 @@ def walk_stats(kind, sm, line, num_sms, ldg_code, atomic_code):
     validates ``max_sm < num_sms`` and ``max_line`` against the table
     cap before committing to the fused path.
     """
-    K = runscope.current().kernels
+    K = kernels()
     ldg_per_sm = np.zeros(int(num_sms), dtype=np.int64)
     out3 = np.zeros(3, dtype=np.int64)
     K["walk_stats"](kind, sm, line, int(num_sms), int(ldg_code),
@@ -476,7 +459,7 @@ def walk_ro(order, kind, line, sm, ldg_code, rep_sm, rep_count, max_line):
     the same line (-1 = first touch) — exactly the ``idx - prev`` pairs
     the argsort formulation feeds its threshold test.
     """
-    K = runscope.current().kernels
+    K = kernels()
     tval = _scratch("walk_tval", int(max_line) + 1, np.int64)
     tgen = _scratch("walk_tgen", int(max_line) + 1, np.int64, zero=True)
     gap = np.empty(int(rep_count), dtype=np.int64)
@@ -495,7 +478,7 @@ def walk_l2(order, kind, line, sm, ldg_code, store_code, rep_sm, rep_hits,
     boolean-mask assignment) — and emits the L2 substream's reuse gaps
     and stall flags.  Returns ``(l2_gap, l2_stall, ro_hits)``.
     """
-    K = runscope.current().kernels
+    K = kernels()
     n = order.shape[0]
     tval = _scratch("walk_tval", int(max_line) + 1, np.int64)
     tgen = _scratch("walk_tgen", int(max_line) + 1, np.int64, zero=True)
@@ -517,7 +500,7 @@ def issue_order(key):
     Keys must be non-negative int64 (the trace builder guarantees this —
     it falls back to lexsort before keys could reach 2**62).
     """
-    K = runscope.current().kernels
+    K = kernels()
     if K is None:
         return None
     if not _c64(key):

@@ -1,46 +1,36 @@
-"""Tier resolution for the compiled kernel backend.
+"""Tier resolution for the simulator's compiled kernels.
 
-Two tiers, best available wins under ``jit='auto'``:
+The simulator runs its hot loop bodies on one of two tiers, resolved
+lazily, once per process, the first time a kernel asks (never at
+import):
 
 1. **cc** — the compiled kernels as C built with the system compiler
    and bound via ctypes (:mod:`.cc`), with an on-disk ``.so`` cache.
+   This is how the simulator runs whenever the build (or the cached
+   library) loads.
 2. **numpy** — no compiled kernels at all: dispatch hooks return
-   ``None`` and every call site runs its existing vectorized path.
-   Reaching this tier *implicitly* (``jit='auto'`` with no usable C
-   compiler) emits a one-time :class:`RuntimeWarning`; asking for it
-   explicitly (``jit='numpy'``) is silent.
+   ``None`` and every call site runs its vectorized reference path.
+   Reaching it emits a one-time :class:`RuntimeWarning`.
 
-Env overrides (mainly for the CI fallback leg):
-
-* ``REPRO_COMPILED_JIT`` — force a tier, same values as ``jit=``.
-* ``REPRO_COMPILED_DISABLE`` — comma list of tiers to treat as
-  unavailable (``cc`` exercises the pure-NumPy fallback).
+``REPRO_COMPILED_DISABLE`` is a comma list of tiers to treat as
+unavailable; ``cc`` masks the C tier and exercises the NumPy reference
+path.  Both tiers produce byte-identical colors and simulated timings.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 import warnings
 
 import numpy as np
 
-__all__ = [
-    "resolve_tier",
-    "get_kernels",
-    "current_tier",
-    "warmup",
-    "CompiledTierError",
-]
-
-_TIERS = ("cc", "numpy")
+__all__ = ["get_kernels", "kernels", "current_tier", "warmup"]
 
 _resolved: tuple[str, dict | None] | None = None
+_resolve_lock = threading.Lock()
 _warned_fallback = False
-
-
-class CompiledTierError(RuntimeError):
-    """An explicitly requested compiled tier is unavailable."""
 
 
 def _disabled() -> frozenset:
@@ -51,43 +41,12 @@ def _disabled() -> frozenset:
 def _try_cc() -> dict | None:
     if "cc" in _disabled():
         return None
-    try:
-        from . import cc
-    except ImportError:  # pragma: no cover - stdlib-only module
-        return None
+    from . import cc
+
     try:
         return _adapt_cc(cc.load_kernels())
     except cc.CCBuildError:
         return None
-
-
-def resolve_tier(jit: str = "auto") -> tuple[str, dict | None]:
-    """Resolve ``jit`` to ``(tier_name, kernel_table_or_None)``.
-
-    ``jit='auto'`` tries the C tier, then pure NumPy (with the one-time
-    fallback warning).  ``jit='cc'`` raises :class:`CompiledTierError`
-    when the C tier is unavailable, ``jit='numpy'`` is the explicit
-    (silent) fallback.
-    """
-    env = os.environ.get("REPRO_COMPILED_JIT")
-    if env:
-        jit = env
-    if jit not in ("auto", *_TIERS):
-        raise ValueError(
-            f"unknown jit tier {jit!r}; pick one of 'auto', 'cc', 'numpy'"
-        )
-    if jit == "numpy":
-        return "numpy", None
-    kernels = _try_cc()
-    if kernels is not None:
-        return "cc", kernels
-    if jit == "cc":
-        raise CompiledTierError(
-            "jit='cc' requested but no working C compiler was found "
-            "(or disabled via REPRO_COMPILED_DISABLE)"
-        )
-    _warn_fallback()
-    return "numpy", None
 
 
 def _warn_fallback() -> None:
@@ -96,39 +55,48 @@ def _warn_fallback() -> None:
         return
     _warned_fallback = True
     warnings.warn(
-        "backend='compiled': no C compiler is available; falling back "
+        "repro simulator: the C kernel tier is unavailable (no working C "
+        "compiler, or masked by REPRO_COMPILED_DISABLE); falling back "
         "to the pure-NumPy kernels. Results are identical, only "
-        "wall-clock speed differs. Install a C toolchain to enable the "
-        "compiled tier.",
+        "wall-clock speed differs.",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=2,
     )
 
 
-def get_kernels(jit: str = "auto") -> tuple[str, dict | None]:
-    """Memoized :func:`resolve_tier` for the common ``jit='auto'`` path."""
+def get_kernels() -> tuple[str, dict | None]:
+    """``(tier_name, kernel_table_or_None)``, resolved on first call."""
     global _resolved
-    if jit != "auto":
-        return resolve_tier(jit)
     if _resolved is None:
-        _resolved = resolve_tier("auto")
+        with _resolve_lock:  # commit_pair's pricing thread may race us
+            if _resolved is None:
+                table = _try_cc()
+                if table is None:
+                    _warn_fallback()
+                _resolved = ("cc" if table is not None else "numpy", table)
     return _resolved
 
 
+def kernels() -> dict | None:
+    """The process's kernel table; ``None`` on the NumPy tier."""
+    resolved = _resolved
+    return (resolved if resolved is not None else get_kernels())[1]
+
+
 def current_tier() -> str | None:
-    """The memoized auto tier, or ``None`` if not resolved yet."""
+    """The resolved tier, or ``None`` if nothing has asked yet."""
     return _resolved[0] if _resolved is not None else None
 
 
-def warmup(jit: str = "auto") -> str:
+def warmup() -> str:
     """Resolve the tier and run every kernel once on tiny inputs.
 
     Pays the one-off C build (or its disk-cache load) up front —
     the parallel scheduler calls this from its worker initializer so
     pool workers start hot.  Returns the resolved tier name.
     """
-    tier, kernels = get_kernels(jit)
-    if kernels is None:
+    tier, fns = get_kernels()
+    if fns is None:
         return tier
     i64 = np.zeros(4, dtype=np.int64)
     i32 = np.zeros(4, dtype=np.int32)
@@ -137,52 +105,52 @@ def warmup(jit: str = "auto") -> str:
     gen = np.ones(1, dtype=np.uint64)
     seg = np.array([0, 0, 1, 1], dtype=np.int64)
     cols = np.array([1, 2, 1, 3], dtype=np.int32)
-    kernels["max_seg_run"](seg)
-    kernels["mex_sorted"](seg, cols, 2, i32.copy(), u64.copy(), gen)
-    kernels["waved_color"](
+    fns["max_seg_run"](seg)
+    fns["mex_sorted"](seg, cols, 2, i32.copy(), u64.copy(), gen)
+    fns["waved_color"](
         np.array([0, 1], dtype=np.int64), seg,
         np.array([1, 1, 0, 0], dtype=np.int32),
         np.array([0, 2], dtype=np.int64), np.array([0, 4], dtype=np.int64),
         np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32),
         u64.copy(), gen,
     )
-    kernels["detect_conflicts_full"](seg, i32, cols, u8.copy())
-    kernels["detect_conflicts_subset"](seg, i64, i32, cols, u8.copy())
+    fns["detect_conflicts_full"](seg, i32, cols, u8.copy())
+    fns["detect_conflicts_subset"](seg, i64, i32, cols, u8.copy())
     tk = np.empty(8, dtype=np.int64)
     tv = np.empty(8, dtype=np.int64)
     tg = np.zeros(8, dtype=np.int64)
-    kernels["reuse_prev_i32"](cols, i64.copy(), i64.copy(), tk, tv, tg, 1)
-    kernels["reuse_prev_i64"](seg, i64.copy(), i64.copy(), tk, tv, tg, 2)
-    kernels["issue_order"](seg, i64.copy(), i64.copy(), i64.copy(), i64.copy())
-    kernels["first_occurrences"](
+    fns["reuse_prev_i32"](cols, i64.copy(), i64.copy(), tk, tv, tg, 1)
+    fns["reuse_prev_i64"](seg, i64.copy(), i64.copy(), tk, tv, tg, 2)
+    fns["issue_order"](seg, i64.copy(), i64.copy(), i64.copy(), i64.copy())
+    fns["first_occurrences"](
         seg, i64.copy(), i64.copy(), i64.copy(), tk, tg, 3,
         i64.copy(), i64.copy(), i64.copy(), i64.copy(),
     )
-    kernels["pack_mask"](u8, i64.copy())
+    fns["pack_mask"](u8, i64.copy())
     kind = np.array([1, 2, 1, 3], dtype=np.uint8)
     smv = np.array([0, 0, 1, 0], dtype=np.int32)
     ordr = np.arange(4, dtype=np.int64)
     out3 = np.zeros(3, dtype=np.int64)
-    kernels["walk_stats"](kind, smv, cols, 2, 1, 3, np.zeros(2, np.int64),
+    fns["walk_stats"](kind, smv, cols, 2, 1, 3, np.zeros(2, np.int64),
                           out3)
     tv2 = np.empty(8, dtype=np.int64)
     tg2 = np.zeros(8, dtype=np.int64)
-    kernels["walk_ro"](ordr, kind, cols, smv, 1, 0, i64.copy(), tv2, tg2, 1)
-    kernels["walk_l2"](
+    fns["walk_ro"](ordr, kind, cols, smv, 1, 0, i64.copy(), tv2, tg2, 1)
+    fns["walk_l2"](
         ordr, kind, cols, smv, 1, 2, 0, u8, np.zeros(4), 0.5,
         i64.copy(), u8.copy(), tv2, tg2, 2, np.zeros(2, np.int64),
     )
     # count buffers sized 1 << (total key bits): the radix may fuse all
     # components into a single digit.
-    kernels["order3"](np.zeros(4, np.int32), smv, cols, 1, 1, 2,
+    fns["order3"](np.zeros(4, np.int32), smv, cols, 1, 1, 2,
                       i64.copy(), i64.copy(), i64.copy(), i64.copy(),
                       np.zeros(16, np.int64))
     for stepv in (seg, None):
-        kernels["first_occ3"](
+        fns["first_occ3"](
             smv, stepv, seg, 1, 1, 1, i64.copy(), i64.copy(), i64.copy(),
             i64.copy(), i64.copy(), np.zeros(8, np.int64),
         )
-        kernels["emit_coalesced"](
+        fns["emit_coalesced"](
             smv, stepv, 0, seg, smv, np.zeros(4, np.int32), 1, 1, 1,
             1, 3, i64.copy(), i64.copy(), i64.copy(), i64.copy(),
             np.zeros(8, np.int64), np.zeros(4, np.uint8),
@@ -190,7 +158,7 @@ def warmup(jit: str = "auto") -> str:
             np.zeros(4, np.int32), np.zeros(4, np.int32),
             np.zeros(4, np.int32),
         )
-    kernels["merge_order"](
+    fns["merge_order"](
         np.zeros(4, np.int32), np.sort(smv), np.zeros(4, np.int32),
         np.array([0, 2, 4], dtype=np.int64), 1, 2,
         i64.copy(), i64.copy(), i64.copy(), i64.copy(),

@@ -12,7 +12,8 @@ The ``recorder=`` keyword and typed-key ``ColoringResult.extra[...]``
 reads completed the full cycle and are now *removed* (a ``TypeError`` /
 ``KeyError`` naming the migration target).  The current occupant of the
 *deprecated* stage is the bare-array ``DynamicColoring`` constructor
-shape (pass a :class:`~repro.coloring.base.ColoringResult` instead).
+shape (pass a :class:`~repro.coloring.base.ColoringResult` instead); the
+``backend='compiled'`` alias of ``'gpusim'`` is in *pending-removal*.
 The migration targets are documented in ``docs/API.md``
 ("Deprecations").
 

@@ -15,7 +15,8 @@ and exposes the narrow device surface the engine needs:
   and ``reset`` to price the next job as on a fresh substrate.
 
 Two implementations ship: :class:`GpuSimBackend` wraps the simulated K20c
-(:class:`~repro.gpusim.device.Device`) and is the default;
+(:class:`~repro.gpusim.device.Device`) and is the default (its hot loop
+bodies run on the compiled kernel tier, :mod:`repro.compiledsim`);
 :class:`CpuSimBackend` prices the *same* recipes on the multicore Xeon
 model (Çatalyürek-style speculative coloring on CPUs), demonstrating that
 the recipe layer is substrate-independent.
@@ -30,6 +31,7 @@ import numpy as np
 
 from .. import runscope
 from ..cpusim.model import CPU, MulticoreCPU
+from ..deprecation import warn_once
 from ..faults import TransientKernelError
 from ..gpusim.config import DeviceConfig, LaunchConfig
 from ..gpusim.device import Device, DeviceArray
@@ -40,7 +42,7 @@ __all__ = [
     "Backend",
     "GpuSimBackend",
     "CpuSimBackend",
-    "CompiledSimBackend",
+    "canonical_backend",
     "resolve_backend",
     "BACKENDS",
 ]
@@ -422,63 +424,30 @@ class CpuSimBackend:
         )
 
 
-class CompiledSimBackend(GpuSimBackend):
-    """``gpusim`` with the hot functional loops routed through JIT kernels.
-
-    Identical device model, identical pricing, identical results — the
-    difference is *host* wall-clock: while a run is active, the kernel
-    and pricing modules route their hot loop bodies (mex, the fused wave
-    loop, conflict detection, worklist compaction, reuse-distance and
-    trace-coalescing scans) through :mod:`repro.compiledsim`, which uses
-    a ctypes-bound C build and falls back to the unchanged NumPy paths
-    (one-time warning) when no C compiler exists.
-
-    Parameters are :class:`GpuSimBackend`'s plus ``jit=``:
-    ``'auto'`` (default tiering), ``'cc'`` (require the C tier, raise
-    :class:`~repro.compiledsim.CompiledTierError` if missing),
-    ``'numpy'`` (explicit silent fallback).
-    """
-
-    name = "compiled"
-
-    def __init__(
-        self,
-        device: Device | None = None,
-        *,
-        config: DeviceConfig | None = None,
-        cache_model: str = "reuse_distance",
-        seed: int = 0,
-        jit: str = "auto",
-    ) -> None:
-        super().__init__(
-            device, config=config, cache_model=cache_model, seed=seed
-        )
-        from .. import compiledsim
-
-        self.jit = jit
-        # Resolve (and warn, if falling back) at construction so a
-        # misconfigured explicit tier fails fast, not mid-run.
-        self.tier = compiledsim.get_kernels(jit)[0]
-
-    def functional_scope(self):
-        """Context manager activating compiled dispatch for one run.
-
-        The round loop wraps each run's whole dynamic extent in this, so
-        every kernel and pricing call the run makes, on this thread and
-        in ``commit_pair``'s pricing thread, sees the compiled tier in
-        the run scope (:mod:`repro.runscope`).
-        """
-        from ..compiledsim import dispatch
-
-        return dispatch.scope(self.jit)
-
-
 #: Registry of constructible backends, keyed by their ``name``.
 BACKENDS: dict[str, type] = {
     GpuSimBackend.name: GpuSimBackend,
     CpuSimBackend.name: CpuSimBackend,
-    CompiledSimBackend.name: CompiledSimBackend,
 }
+
+
+def canonical_backend(spec):
+    """``spec`` with the deprecated ``"compiled"`` name resolved to ``"gpusim"``.
+
+    ``gpusim`` runs the compiled kernel tier itself, so the old name
+    selects the same backend and the same result-cache fingerprint.  It
+    warns once per process and goes away next release.
+    """
+    if isinstance(spec, str) and spec == "compiled":
+        warn_once(
+            "backend-compiled",
+            "backend='compiled' is deprecated: 'gpusim' now runs the "
+            "compiled kernel tier itself; pass backend='gpusim' (or "
+            "nothing)",
+            stacklevel=4,
+        )
+        return "gpusim"
+    return spec
 
 
 def resolve_backend(spec, **kwargs):
@@ -489,6 +458,7 @@ def resolve_backend(spec, **kwargs):
     :class:`~repro.gpusim.device.Device` (wrapped in a
     :class:`GpuSimBackend` — the legacy ``device=`` path).
     """
+    spec = canonical_backend(spec)
     if spec is None:
         return GpuSimBackend(**kwargs)
     if isinstance(spec, str):

@@ -10,7 +10,7 @@ execution keywords (``backend=``, ``cache=``, ``faults=``, ...).  Before
 this module they were threaded ad hoc; :class:`RunConfig` bundles them
 into one frozen, reusable value::
 
-    cfg = RunConfig(backend="compiled", cache="memory", health="strict")
+    cfg = RunConfig(backend="cpusim", cache="memory", health="strict")
     color_graph(g, "data-ldg", config=cfg)
     color_many(graphs, "data-ldg", config=cfg.replace(workers=4))
 
@@ -54,11 +54,11 @@ class RunConfig:
 
     backend: Any = _field(
         "execution substrate for device schemes: 'gpusim' (default), "
-        "'cpusim', 'compiled', or a backend/device instance"
+        "'cpusim', or a backend/device instance"
     )
     backend_opts: Any = _field(
         "constructor keywords for a string backend= spec, e.g. "
-        "{'jit': 'cc'} or {'cache_model': 'hit_rate'}"
+        "{'seed': 1} or {'cache_model': 'hit_rate'}"
     )
     store: Any = _field(
         "graph arena for worker processes: 'heap', 'shm', "

@@ -207,7 +207,9 @@ class ExecutionContext:
 
         ``mex=`` selects the forbidden-color kernel strategy for this run
         (``'bitmask'``, ``'bitmask:N'``, or ``'sort'``); results are
-        byte-identical either way, only wall-clock speed differs.
+        byte-identical either way, only wall-clock speed differs.  Only
+        the NumPy kernel tier reads it; the C tier warns once and
+        ignores it.
 
         When a robustness bundle with ``degrade=True`` is in scope, a run
         rejected by the guard rails (or killed by an injected fault) is

@@ -298,7 +298,7 @@ class Device:
         overlapping the two sort/scan-heavy pricing passes (NumPy releases
         the GIL in the kernels that dominate them).  The second pass runs
         in a copy of the caller's context, so it sees the same run scope
-        (e.g. the compiled tier) as the first.
+        (fault sites, deadline) as the first.
         """
         seed0 = self.seed + self._launch_counter
         if (os.cpu_count() or 1) > 1:

@@ -414,7 +414,7 @@ class TraceBuilder:
             # Compiled engine, fully fused: dedup + narrowing gathers
             # straight into the arena columns (same emitted order and
             # values as the unfused path below).
-            if _compiled.active():
+            if _compiled.kernels() is not None:
                 out = self._arena_reserve(line.shape[0])
                 m = _compiled.emit_coalesced(
                     kind, warp, step_arr, line, sm, wave,
@@ -510,7 +510,7 @@ class TraceBuilder:
         new_off = self._seq % 1024
         m = line_sel.shape[0]
         if (
-            _compiled.active()
+            _compiled.kernels() is not None
             and line_sel.dtype == np.int32
             and warp_sel.dtype == np.int32
             and step_v.dtype == np.int32

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..coloring.base import COLOR_DTYPE, ColoringResult
 from ..coloring.registry import ENGINE_KEYWORDS, SCHEMES
+from ..engine.backend import canonical_backend
 from ..runscope import note_degradation
 
 __all__ = [
@@ -44,31 +45,23 @@ __all__ = [
     "backend_fingerprint",
 ]
 
-#: Backends whose *results* are byte-identical to another's by contract
-#: (the golden equivalence suite gates this), mapped to the canonical
-#: name: their runs share cache entries.  ``jit=`` picks a kernel tier,
-#: never an outcome, so it is dropped from the fingerprint too.
-_RESULT_IDENTICAL = {"compiled": "gpusim"}
-
-
 def backend_fingerprint(spec, backend_opts: dict | None = None) -> str:
     """A stable string identifying the device preset a run executes on.
 
     ``None`` and ``"gpusim"`` share a fingerprint (both mean the default
-    simulated K20c); backend *instances* contribute their device
-    configuration so ablation presets don't collide.
+    simulated K20c, as does the deprecated ``"compiled"`` alias); backend
+    *instances* contribute their device configuration so ablation
+    presets don't collide.  The kernel tier never enters it: both tiers
+    produce the same results.
     """
+    spec = canonical_backend(spec)
     if spec is None:
         spec = "gpusim"
     if isinstance(spec, str):
-        opts = dict(backend_opts or {})
-        if spec in _RESULT_IDENTICAL:
-            spec = _RESULT_IDENTICAL[spec]
-            opts.pop("jit", None)
-        return f"{spec}:{json.dumps(opts, sort_keys=True, default=repr)}"
+        opts = json.dumps(backend_opts or {}, sort_keys=True, default=repr)
+        return f"{spec}:{opts}"
     # Instances: name plus whatever configuration identifies the preset.
     name = getattr(spec, "name", type(spec).__name__)
-    name = _RESULT_IDENTICAL.get(name, name)
     device = getattr(spec, "device", spec)
     config = getattr(device, "config", None)
     cores = getattr(getattr(spec, "cpu", None), "cores", None)

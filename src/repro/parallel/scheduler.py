@@ -247,16 +247,15 @@ def _worker_init(backend, backend_opts: dict) -> None:
         graphs=_GraphLRU(_HEAP_GRAPH_CACHE),
         attached=_GraphLRU(_ATTACHED_GRAPH_CACHE),
     )
-    if getattr(backend, "name", backend) == "compiled":
-        # Pay the one-time JIT load/compile during pool spin-up instead
-        # of inside the first job; the disk-cached build makes this a
-        # few ms for every worker after the first ever.
-        try:
-            from .. import compiledsim
+    # Pay the one-time kernel-tier load during pool spin-up instead of
+    # inside the first job; the disk-cached build makes this a few ms
+    # for every worker after the first ever.
+    try:
+        from .. import compiledsim
 
-            compiledsim.warmup()
-        except Exception:
-            pass  # tier probing degrades on its own; jobs still run
+        compiledsim.warmup()
+    except Exception:
+        pass  # tier probing degrades on its own; jobs still run
 
 
 def _resolve_job_graph(job: ColorJob):

@@ -2,10 +2,10 @@
 
 Most run state travels explicitly (``robustness=``, ``deadline_ms=``,
 ``backend=`` parameters), but a few consumers live in code that
-deliberately knows nothing about the engine: the mex kernels note
-degradations, the commit gate fires kernel fault sites, deep call sites
-check the deadline, and the kernel and pricing modules ask whether a
-compiled tier is active.  They read it from here.
+deliberately knows nothing about the engine: the NumPy mex kernels read
+their strategy and note degradations, the commit gate fires kernel
+fault sites, and deep call sites check the deadline.  They read it from
+here.
 
 One :class:`contextvars.ContextVar` holds one frozen :class:`RunScope`.
 :func:`scope` installs a changed copy for a block and restores the
@@ -43,8 +43,6 @@ class RunScope:
 
     robustness: object | None = None  # faults.Robustness, duck-typed
     control: object | None = None  # resilience.RunControl, duck-typed
-    kernels: dict | None = None  # compiled kernel table; None = NumPy paths
-    tier: str | None = None  # name of the compiled tier in ``kernels``
     mex: tuple | None = None  # (mode, words); None = the default strategy
 
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+
+from repro.compiledsim import runtime
 
 from repro.graph.builder import (
     complete_graph,
@@ -21,6 +25,31 @@ from repro.graph.generators import (
     triangular_mesh,
 )
 from repro.graph.generators.rmat import G_PARAMS
+
+
+def pytest_sessionstart(session):
+    # Resolve the kernel tier before any test runs, so the one-time
+    # fallback warning (C tier masked or unbuildable) never lands inside
+    # a test that turns warnings into errors.
+    runtime.get_kernels()
+
+
+@contextmanager
+def numpy_tier_masked():
+    """Run the block on the NumPy reference tier, the C tier masked."""
+    saved = runtime._resolved
+    runtime._resolved = ("numpy", None)
+    try:
+        yield
+    finally:
+        runtime._resolved = saved
+
+
+@pytest.fixture
+def numpy_tier():
+    """Mask the memoized simulator tier to pure NumPy for one test."""
+    with numpy_tier_masked():
+        yield
 
 
 @pytest.fixture

@@ -40,9 +40,10 @@ def _chains(result):
 
 
 # ---------------------------------------------------------------------------
-# mex: bitmask → sort on word-budget overflow.
+# mex: bitmask → sort on word-budget overflow.  The chain exists on the
+# NumPy tier only (the C tier's mex has no word budget), so these pin it.
 # ---------------------------------------------------------------------------
-def test_mex_overflow_degrades_to_sort_byte_identically():
+def test_mex_overflow_degrades_to_sort_byte_identically(numpy_tier):
     g = complete_graph(70)  # 70 colors ≫ one 32-color bitmask word
     healthy = color_graph(g, "data-ldg")
     degraded = color_graph(g, "data-ldg", mex="bitmask:1", health="default")
@@ -54,7 +55,7 @@ def test_mex_overflow_degrades_to_sort_byte_identically():
     assert mex[0]["reason"] == "word-budget-overflow"
 
 
-def test_mex_overflow_unobserved_without_a_bundle():
+def test_mex_overflow_unobserved_without_a_bundle(numpy_tier):
     g = complete_graph(70)
     result = color_graph(g, "data-ldg", mex="bitmask:1")  # no faults/health
     assert result.robustness is None  # silent, zero-overhead routing

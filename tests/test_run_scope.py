@@ -1,6 +1,6 @@
 """The run scope: one run's ambient state stays on its own thread.
 
-Fault bundles, deadlines, the compiled tier and the mex strategy reach
+Fault bundles, deadlines and the mex strategy reach
 deep call sites through :mod:`repro.runscope`.  Runs on different
 threads (the service's ``asyncio.to_thread`` batches and session
 repairs, or plain user threads) must not see each other's scope, and
@@ -19,9 +19,8 @@ import pytest
 
 from repro import color_graph, from_edges, rmat_er, runscope
 from repro.coloring.kernels import mex_strategy
-from repro.compiledsim import dispatch
+from repro.compiledsim import runtime
 from repro.engine import RunConfig
-from repro.engine.backend import CompiledSimBackend
 from repro.engine.runner import RoundLoop
 from repro.faults import Robustness, resolve_robustness
 from repro.gpusim.device import Device
@@ -60,10 +59,10 @@ def _join(*pairs):
 def test_scope_restores_by_token_and_starts_empty():
     assert contextvars.Context().run(runscope.current) == runscope.RunScope()
     before = runscope.current()
-    with runscope.scope(tier="outer") as outer:
-        assert outer.tier == "outer"
+    with runscope.scope(control="outer") as outer:
+        assert outer.control == "outer"
         with runscope.scope(mex=("sort", 0)):
-            assert runscope.current().tier == "outer"
+            assert runscope.current().control == "outer"
             assert runscope.current().mex == ("sort", 0)
         assert runscope.current().mex == before.mex
     assert runscope.current() == before
@@ -76,24 +75,24 @@ def test_interleaved_scopes_on_two_threads_unwind_exactly():
     seen = {}
 
     def thread_a():
-        with runscope.scope(tier="a"):
+        with runscope.scope(control="a"):
             a_in.set()
             assert b_in.wait(10)
         a_out.set()
-        return runscope.current().tier
+        return runscope.current().control
 
     def thread_b():
         assert a_in.wait(10)
-        with runscope.scope(tier="b"):
+        with runscope.scope(control="b"):
             b_in.set()
             assert a_out.wait(10)
-            seen["inside"] = runscope.current().tier
-        return runscope.current().tier
+            seen["inside"] = runscope.current().control
+        return runscope.current().control
 
     after_a, after_b = _join(_in_thread(thread_a), _in_thread(thread_b))
     assert seen["inside"] == "b"
     assert (after_a, after_b) == (None, None)
-    assert runscope.current().tier is None
+    assert runscope.current().control is None
 
 
 def test_scopes_hold_under_thread_switch_stress():
@@ -105,12 +104,12 @@ def test_scopes_hold_under_thread_switch_stress():
         def worker(name):
             def run():
                 for i in range(2000):
-                    with runscope.scope(tier=name):
+                    with runscope.scope(control=name):
                         with runscope.scope(mex=(name, i)):
-                            assert runscope.current().tier == name
+                            assert runscope.current().control == name
                             assert runscope.current().mex == (name, i)
                         assert runscope.current().mex is None
-                    assert runscope.current().tier is None
+                    assert runscope.current().control is None
                 return name
             return _in_thread(run)
 
@@ -172,25 +171,29 @@ def test_concurrent_clock_stall_stays_in_its_own_run():
 
 def test_commit_pair_pricing_threads_see_the_run_tier(monkeypatch):
     """``Device.commit_pair`` prices the second launch on a helper
-    thread; it must run under the caller's scope, or compiled pricing
-    would fall back to NumPy for half the launches."""
+    thread; it must run under the caller's scope (fault sites, deadline
+    checks), and both threads price on the process's kernel tier."""
     graph = rmat_er(scale=9, seed=3)
     reference = color_graph(graph, "data-ldg")
     seen = []
     original = Device._price
 
     def recording(self, builder, seed):
-        seen.append((threading.get_ident(), dispatch.tier()))
+        seen.append((threading.get_ident(), runscope.current().mex,
+                     runtime.current_tier()))
         return original(self, builder, seed)
 
     monkeypatch.setattr(Device, "_price", recording)
-    backend = CompiledSimBackend()
-    result = color_graph(graph, "data-ldg", backend=backend)
+    before = runscope.current().mex
+    with mex_strategy("sort"):
+        result = color_graph(graph, "data-ldg")
     assert result.total_time_us == reference.total_time_us
-    assert {tier for _, tier in seen} == {backend.tier}
+    assert {(mex, tier) for _, mex, tier in seen} == {
+        (("sort", 0), runtime.current_tier())
+    }
     if (os.cpu_count() or 1) > 1:
-        assert len({ident for ident, _ in seen}) >= 2
-    assert not dispatch.active() and dispatch.tier() is None
+        assert len({ident for ident, _, _ in seen}) >= 2
+    assert runscope.current().mex == before
 
 
 # ----------------------------------------------------- service traffic
@@ -200,16 +203,19 @@ def _wide_palette_session_graph():
     return from_edges(u, v, name="k66")
 
 
-def test_service_batch_scope_stays_out_of_a_concurrent_session(monkeypatch):
+def test_service_batch_scope_stays_out_of_a_concurrent_session(
+    monkeypatch, numpy_tier
+):
     """A faulted, deadlined batch runs while a session repairs and
     compacts: the session's mex degradations stay out of the batch's
-    log, and the batch's deadline never cancels the session."""
+    log, and the batch's deadline never cancels the session.  (The mex
+    degradation chain exists on the NumPy tier only.)"""
     rb = resolve_robustness(STALL_PLAN, "default")
     assert isinstance(rb, Robustness)
     small = rmat_er(scale=8, seed=3)
     entered, release = threading.Event(), threading.Event()
     armed = {"on": False}
-    original = RoundLoop._run
+    original = RoundLoop.run
 
     def gated(self, *args, **kwargs):
         if armed["on"]:
@@ -218,7 +224,7 @@ def test_service_batch_scope_stays_out_of_a_concurrent_session(monkeypatch):
             release.wait(30)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(RoundLoop, "_run", gated)
+    monkeypatch.setattr(RoundLoop, "run", gated)
 
     async def main():
         async with ColoringService(config=RunConfig(faults=rb)) as svc:
