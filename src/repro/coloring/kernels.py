@@ -49,6 +49,7 @@ __all__ = [
     "mex_strategy",
     "speculative_color_step",
     "speculative_color_waved",
+    "color_waves",
     "resident_thread_capacity",
     "detect_conflicts",
     "charge_color_kernel",
@@ -554,16 +555,43 @@ def speculative_color_waved(
         )
     if expansion is None:
         expansion = Expansion(graph, active_ids)
-    if scratch is None:
-        scratch = KernelScratch()
     seg = expansion.seg
-    nbr = expansion.nbr32(graph)
     epos = np.searchsorted(seg, bounds)
+    max_run = int(expansion.lens.max()) if expansion.lens.size else 0
+    return color_waves(
+        colors, active_ids, seg, expansion.nbr32(graph), bounds, epos,
+        max_run, scratch,
+    )
+
+
+def color_waves(
+    colors: np.ndarray,
+    active_ids: np.ndarray,
+    seg: np.ndarray,
+    nbr: np.ndarray,
+    bounds: np.ndarray,
+    epos: np.ndarray,
+    max_run: int,
+    scratch: KernelScratch | None = None,
+) -> np.ndarray:
+    """Mex-color ``active_ids`` wave by wave, committing into ``colors``.
+
+    Wave ``i`` owns positions ``bounds[i]:bounds[i+1]`` and expansion
+    entries ``epos[i]:epos[i+1]`` (``seg`` holds each entry's position,
+    sorted; ``nbr`` its neighbor id).  A wave reads the colors every
+    earlier wave committed and its own entry snapshot, then commits.
+    ``max_run`` is the longest segment (its degree bound sizes the C
+    tier's stamp array).  Returns the new color per position.
+    """
     # Fused wave loop: same two-phase (snapshot reads, then commit)
-    # visibility per wave, one compiled pass for the whole round.
-    fused = _compiled.waved_color(active_ids, seg, nbr, colors, bounds, epos)
+    # visibility per wave, one compiled pass for the whole call.
+    fused = _compiled.waved_color(
+        active_ids, seg, nbr, colors, bounds, epos, max_run
+    )
     if fused is not None:
         return fused
+    if scratch is None:
+        scratch = KernelScratch()
     out = np.empty(active_ids.size, dtype=COLOR_DTYPE)
     for i in range(bounds.size - 1):
         lo = int(bounds[i])

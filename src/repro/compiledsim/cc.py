@@ -98,7 +98,6 @@ _I64 = ctypes.c_int64
 
 #: name -> (restype, argtypes)
 _SIGNATURES = {
-    "max_seg_run": (_I64, [_I64P, _I64]),
     "mex_sorted": (None, [_I64P, _I32P, _I64, _I64, _I32P, _U64P, _I64, _U64P]),
     "waved_color": (
         None,

@@ -6,9 +6,10 @@ route to when the compiled engine is active:
 * ``mex_sorted`` — exact minimum-excluded-color over sorted CSR segments
   (stamp-array formulation; equivalent to the bitmask/sort NumPy paths).
 * ``waved_color`` — the fused wave loop of
-  :func:`repro.coloring.kernels.speculative_color_waved`: per wave, a
+  :func:`repro.coloring.kernels.color_waves`: per wave, a
   snapshot gather + mex pass over every vertex, then a commit pass, so
-  wave-granular write visibility is preserved exactly.
+  wave-granular write visibility is preserved exactly; the caller's
+  longest segment sizes the stamp array.
 * ``detect_conflicts_full`` / ``detect_conflicts_subset`` — the
   monochromatic-edge loser scan.
 * ``reuse_prev_i32`` / ``reuse_prev_i64`` — previous-touch indices for
@@ -37,7 +38,7 @@ and contiguity before handing out pointers.
 from __future__ import annotations
 
 #: Bump when the C source changes incompatibly; part of the .so cache key.
-SOURCE_VERSION = 3
+SOURCE_VERSION = 4
 
 KERNELS_C = r"""
 #include <stdint.h>
@@ -68,21 +69,6 @@ static inline int32_t mex_of_run(
         if (stamp[c] != gen) return (int32_t)c;
     }
     return (int32_t)(cap + 1);
-}
-
-/* Longest run of equal adjacent values — bounds the stamp array so    */
-/* mex truncation (cap = min(d + 1, stamp_len - 1)) never bites.       */
-EXPORT int64_t max_seg_run(const int64_t* seg, int64_t n)
-{
-    int64_t best = 0;
-    int64_t e = 0;
-    while (e < n) {
-        int64_t s = seg[e];
-        int64_t lo = e;
-        while (e < n && seg[e] == s) e++;
-        if (e - lo > best) best = e - lo;
-    }
-    return best;
 }
 
 /* seg must be non-decreasing; out has num_segments entries.           */

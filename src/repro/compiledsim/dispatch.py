@@ -126,13 +126,15 @@ def mex_sorted(seg_ids, nbr_colors, num_segments):
     return out
 
 
-def waved_color(active_ids, seg, nbr, colors, bounds, epos):
-    """The fused wave loop of ``speculative_color_waved``.
+def waved_color(active_ids, seg, nbr, colors, bounds, epos, max_run):
+    """The fused wave loop of ``kernels.color_waves``.
 
     Per wave: snapshot-read mex for every position, then commit —
     the same two-phase visibility as the vectorized gather/scatter.
-    Writes ``colors`` in place and returns the per-position ``out``
-    array, or ``None`` to decline.
+    ``max_run`` is the caller's longest segment (a mex is at most its
+    length + 1, so it sizes the stamp array).  Writes ``colors`` in
+    place and returns the per-position ``out`` array, or ``None`` to
+    decline.
     """
     K = kernels()
     if K is None:
@@ -142,7 +144,6 @@ def waved_color(active_ids, seg, nbr, colors, bounds, epos):
         and _c64(bounds) and _c64(epos)
     ):
         return None
-    max_run = K["max_seg_run"](seg)
     out = np.ones(active_ids.shape[0], dtype=np.int32)
     K["waved_color"](
         active_ids, seg, nbr, bounds, epos, colors, out,

@@ -105,7 +105,6 @@ def warmup() -> str:
     gen = np.ones(1, dtype=np.uint64)
     seg = np.array([0, 0, 1, 1], dtype=np.int64)
     cols = np.array([1, 2, 1, 3], dtype=np.int32)
-    fns["max_seg_run"](seg)
     fns["mex_sorted"](seg, cols, 2, i32.copy(), u64.copy(), gen)
     fns["waved_color"](
         np.array([0, 1], dtype=np.int64), seg,
@@ -201,9 +200,6 @@ def _pu8(a):
 
 def _adapt_cc(fns: dict) -> dict:
     """Wrap the raw ctypes bindings into the array-level convention."""
-
-    def max_seg_run(seg):
-        return fns["max_seg_run"](_p64(seg), seg.shape[0])
 
     def mex_sorted(seg, nbr_colors, num_segments, out, stamp, gen):
         fns["mex_sorted"](
@@ -336,7 +332,6 @@ def _adapt_cc(fns: dict) -> dict:
         )
 
     return {
-        "max_seg_run": max_seg_run,
         "mex_sorted": mex_sorted,
         "waved_color": waved_color,
         "detect_conflicts_full": detect_conflicts_full,

@@ -17,8 +17,10 @@ coloring), so each is a thin wrapper that hands two parts to
 
 Each repair round, the higher-id endpoint of every conflicted edge
 recolors itself to the smallest color missing from a snapshot of its
-neighborhood (Jacobi).  After ``max_resolution_rounds`` one sequential
-sweep with live reads finishes: a vertex recolored away from *all* its
+neighborhood (Jacobi): one segmented mex over all losers at once.  Only
+the first round scans the whole edge set; later ones rescan just the
+recolored rows.  After ``max_resolution_rounds`` one sequential sweep
+with live reads finishes: a vertex recolored away from *all* its
 neighbors creates no new conflict, so the sweep ends proper.  Decisions
 depend only on the vertex blocks, so equal piece counts give
 byte-identical colors in every mode.  Concurrent sources report the
@@ -34,6 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..coloring.base import COLOR_DTYPE, ColoringResult
+from ..coloring.kernels import color_waves, min_excluded_colors
 from ..faults import Robustness, resolve_robustness
 from ..graph.partition import block_partition, boundary_vertices
 from ..obs.observe import resolve_observe
@@ -43,7 +46,8 @@ from .jobs import ColorJob
 
 __all__ = [
     "BlockPieces", "NoExchange", "PartitionedRun", "PieceFailure",
-    "PieceSource", "resolve_settings",
+    "PieceSource", "jacobi_recolor", "rescan_losers", "resolve_settings",
+    "sweep_recolor",
 ]
 
 
@@ -76,16 +80,79 @@ class PieceFailure(RuntimeError):
         super().__init__(f"{len(self.failures)} {self.noun} failed: {detail}")
 
 
-def _mex(neighbor_colors: np.ndarray) -> int:
-    """Smallest positive color absent from ``neighbor_colors``."""
-    used = np.unique(neighbor_colors[neighbor_colors > 0])
-    color = 1
-    for c in used:
-        if c == color:
-            color += 1
-        elif c > color:
-            break
-    return color
+#: Adjacency entries one repair pass gathers at a time: the repair's
+#: scratch stays bounded on graphs whose topology lives out of core.
+_ROW_CHUNK = 1 << 16
+
+
+def _loser_rows(graph, ids: np.ndarray):
+    """Yield ``(lo, hi, seg, nbr)`` over the adjacency rows of ``ids``.
+
+    Each chunk covers ``ids[lo:hi]`` with about ``_ROW_CHUNK`` entries
+    (one row may exceed it): ``seg`` is an entry's owner position within
+    the chunk (sorted) and ``nbr`` its neighbor id.  Built straight from
+    the CSR arrays, so no whole-graph expansion is ever materialized.
+    """
+    R = graph.row_offsets
+    starts = np.asarray(R[ids], dtype=np.int64)
+    lens = np.asarray(R[ids + 1], dtype=np.int64) - starts
+    ends = np.cumsum(lens)
+    lo = 0
+    while lo < ids.size:
+        base = int(ends[lo] - lens[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _ROW_CHUNK, "right")))
+        chunk_lens = lens[lo:hi]
+        seg = np.repeat(np.arange(hi - lo, dtype=np.int64), chunk_lens)
+        # Entry j of the chunk is C[start of its row + j - row's first j].
+        shift = starts[lo:hi] - (ends[lo:hi] - chunk_lens - base)
+        edge = np.arange(int(ends[hi - 1]) - base, dtype=np.int64) + shift[seg]
+        yield lo, hi, seg, graph.col_indices[edge]
+        lo = hi
+
+
+def rescan_losers(graph, colors, rows: np.ndarray):
+    """``(sorted loser ids, conflicted directed edges)`` over ``rows``.
+
+    After a Jacobi round only the recolored vertices can conflict: each
+    took a color absent from every neighbor's pre-round color, and only
+    other recolored vertices changed since.  Every conflicted edge thus
+    joins two of ``rows`` and is seen from both endpoint rows, so this
+    returns what a full scan of the (symmetric) edge set returns.
+    """
+    count, parts = 0, []
+    for lo, hi, seg, nbr in _loser_rows(graph, rows):
+        v = rows[lo:hi][seg]
+        bad = colors[v] == colors[nbr]
+        if bad.any():
+            count += int(np.count_nonzero(bad))
+            parts.append(np.maximum(v[bad], nbr[bad]))
+    if not count:
+        return None, 0
+    return np.unique(np.concatenate(parts)), count
+
+
+def jacobi_recolor(graph, colors, losers: np.ndarray) -> None:
+    """Recolor ``losers`` at once to the mex of their pre-round neighbors."""
+    fresh = np.empty(losers.size, dtype=COLOR_DTYPE)
+    for lo, hi, seg, nbr in _loser_rows(graph, losers):
+        fresh[lo:hi] = min_excluded_colors(
+            seg, colors[nbr], hi - lo, assume_sorted=True
+        )
+    colors[losers] = fresh
+
+
+def sweep_recolor(graph, colors, losers: np.ndarray) -> None:
+    """Recolor ``losers`` one by one in id order, each reading live colors.
+
+    One-vertex waves: every vertex sees every earlier commit, so it takes
+    a color absent from all its neighbors and the sweep ends proper.
+    """
+    losers = np.asarray(losers, dtype=np.int64)
+    for lo, hi, seg, nbr in _loser_rows(graph, losers):
+        waves = np.arange(hi - lo + 1, dtype=np.int64)  # one vertex each
+        epos = np.searchsorted(seg, waves)
+        color_waves(colors, losers[lo:hi], seg, nbr, waves, epos,
+                    int(np.diff(epos).max()))
 
 
 def piece_row(head: dict, piece, result) -> dict:
@@ -317,14 +384,19 @@ class PartitionedRun:
         return result
 
     def _resolve(self) -> None:
-        """Jacobi rounds until no conflict; the round cap sweeps once."""
+        """Jacobi rounds until no conflict; the round cap sweeps once.
+
+        The first round scans the source's whole edge set (also after a
+        resume); later rounds rescan only the rows just recolored.
+        """
         src, ex, graph = self.source, self.exchange, self.graph
         base = src.num_pieces if src.sequential else 0
+        recolored = None
         while True:
             if self.control is not None:
                 self.control.check(ex.where)
             self.storm(self.rounds, ex.phase, ex.where)
-            losers, conflicted = src.find_losers(self.colors)
+            losers, conflicted = self._scan(recolored)
             if not conflicted:
                 return
             ex.check(self)
@@ -335,15 +407,22 @@ class PartitionedRun:
                         *src.cap_chain, "sequential-sweep", "round-cap",
                         f"rounds={self.rounds} conflicted_edges={conflicted}",
                     )
-            reads = self.colors if self.fallback else self.colors.copy()
-            for w in losers:
-                self.colors[w] = _mex(reads[graph.neighbors(w)])
+            recolor = sweep_recolor if self.fallback else jacobi_recolor
+            recolor(graph, self.colors, losers)
             self.recolored += int(losers.size)
             if self.fallback:
                 return
             self.rounds += 1
             ex.after_round(self, losers)
             self.save(base + self.rounds, "repair")
+            recolored = losers
+
+    def _scan(self, recolored):
+        """Losers of the current colors: a full source scan when
+        ``recolored`` is None, else a rescan of those rows only."""
+        if recolored is None:
+            return self.source.find_losers(self.colors)
+        return rescan_losers(self.graph, self.colors, recolored)
 
     def _assemble(self) -> ColoringResult:
         src, ex, agg = self.source, self.exchange, self.agg

@@ -109,10 +109,10 @@ def test_more_shards_than_vertices_is_capped():
 
 
 def test_validation_failure_propagates(medium, monkeypatch):
-    # The sharded result is still checker-gated: cripple the repair mex so
-    # boundary conflicts survive the fallback, and watch validate fire.
+    # The sharded result is still checker-gated: cripple the repair sweep
+    # so boundary conflicts survive the fallback, and watch validate fire.
     from repro.parallel import partitioned
 
-    monkeypatch.setattr(partitioned, "_mex", lambda neigh: 1)
+    monkeypatch.setattr(partitioned, "sweep_recolor", lambda *args: None)
     with pytest.raises(ColoringError):
         color_sharded(medium, "data-ldg", num_shards=4, max_resolution_rounds=0)
